@@ -39,7 +39,6 @@ from .estimation import (
     fit,
     loglik,
     normalize_gauge,
-    step_coords,
     step_cov,
 )
 from .fields import IdentityMap, Swirl, conditional_simulate, krige, simulate_grf

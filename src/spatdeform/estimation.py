@@ -1,11 +1,13 @@
 """Alternating estimation of covariance parameters and deformation.
 
-One outer iteration holds the deformation fixed while maximizing the
-Gaussian replicate likelihood over the covariance parameters, then
-holds those fixed while refitting the coefficient matrices to
-coordinates re-embedded from the dispersions, and finally removes the
-gauge freedom (shift/rotation/scale of the deformed plane, with the
-range co-scaled) by aligning the fitted coordinates to the sites.
+The dispersions are re-embedded only once, when the fit is initialized
+(Sampson & Guttorp 1992).  After that, one outer iteration holds the
+deformation fixed while maximizing the Gaussian replicate likelihood
+over the covariance parameters, then holds those fixed while ascending
+the likelihood over the coefficient matrices from the incumbent ones,
+and finally removes the gauge freedom (shift/rotation/scale of the
+deformed plane, with the range co-scaled) by aligning the fitted
+coordinates to the sites.
 
 The likelihood step maximizes a penalized likelihood: a scale-free
 second-difference roughness of the coefficients (P-splines, Eilers &
@@ -28,11 +30,9 @@ from .basis import KnotGrid, design_matrix
 from .covariance import (
     CovParams,
     DispersionMatrix,
-    VariogramModel,
     covariance_matrix,
     fit_variogram,
     sample_dispersions,
-    variogram_inverse,
 )
 from .deformation import (
     CoefPair,
@@ -52,13 +52,7 @@ from .errors import (
     NumericalError,
     SpatdeformError,
 )
-from .scaling import (
-    ProcrustesTransform,
-    classical_mds,
-    configuration_stress,
-    procrustes,
-    sg_initialize,
-)
+from .scaling import ProcrustesTransform, configuration_stress, procrustes, sg_initialize
 from .smoothers import fit_bspline_constrained, make_bspline_smoother
 
 __all__ = [
@@ -73,7 +67,6 @@ __all__ = [
     "replicate_loglik",
     "loglik",
     "step_cov",
-    "step_coords",
     "refine_coords_ml",
     "normalize_gauge",
     "fit",
@@ -278,45 +271,6 @@ def step_cov(dataset: Dataset, mapping, cov_init: CovParams) -> CovParams:
             stacklevel=2,
         )
     return CovParams(sigma2=float(pbest[0]), phi=float(pbest[1]), nugget=float(max(pbest[2], 0.0)))
-
-
-def _variogram_from_cov(cov: CovParams) -> VariogramModel:
-    # dispersions estimate the full variogram 2*gamma, hence the factor 2
-    return VariogramModel(nugget=2.0 * cov.nugget, psill=2.0 * cov.sigma2, range_=cov.phi)
-
-
-def step_coords(
-    dataset: Dataset,
-    cov: CovParams,
-    grid: KnotGrid,
-    epsilon: float,
-    ridge: float | None = None,
-    prev_coef: CoefPair | None = None,
-    dispersions: DispersionMatrix | None = None,
-) -> CoefPair:
-    """Refit the coefficients to coordinates re-embedded from dispersions.
-
-    Dispersions are inverted through the variogram implied by ``cov``,
-    embedded by classical scaling, rigidly aligned to the current fitted
-    coordinates, and fitted under the non-folding constraints.
-    """
-    if dispersions is None:
-        dispersions = sample_dispersions(dataset.replicates)
-    h = variogram_inverse(_variogram_from_cov(cov), dispersions.values)
-    np.fill_diagonal(h, 0.0)
-    target = classical_mds(h).points
-    if prev_coef is not None:
-        fitted = _fitted(design_matrix(grid, dataset.sites), coef_to_vec(prev_coef))
-        align = procrustes(target, fitted, scale=False, allow_reflection=True)
-    else:
-        align = procrustes(target, dataset.sites, scale=False, allow_reflection=True)
-    target = align.apply(target)
-    start = prev_coef if (
-        prev_coef is not None and corner_values(grid, prev_coef).min() >= epsilon
-    ) else None
-    return fit_bspline_constrained(
-        grid, dataset.sites, target, epsilon=epsilon, ridge=ridge, start=start
-    )
 
 
 def difference_penalty(grid: KnotGrid) -> np.ndarray:
@@ -551,14 +505,12 @@ def refine_coords_ml(
 ) -> CoefPair:
     """Ascend the penalized replicate likelihood over the coefficients.
 
-    The coordinate surrogate (dispersion re-embedding + least squares)
-    provides warm starts, but the quantity the alternation ultimately
-    tracks is the likelihood, so each coordinate block finishes by
-    maximizing ``loglik - lam / 2 * penalty`` directly over both
-    coefficient matrices under the non-folding corner constraints
-    (SLSQP with the analytic gradient); ``lam == 0`` is plain maximum
-    likelihood.  Returns the best feasible coefficients found, never
-    worse than the input.
+    Maximizes ``loglik - lam / 2 * penalty`` directly over both
+    coefficient matrices, starting from ``coef``, under the non-folding
+    corner constraints (SLSQP with the analytic gradient); ``lam == 0``
+    is plain maximum likelihood.  Returns the best feasible coefficients
+    found, never worse than the input, and warns when SLSQP stops at
+    ``max_iter``.
     """
     tables = _corner_tables(grid)
     evaluate = coef_objective(dataset, cov, grid, lam)
@@ -598,6 +550,13 @@ def refine_coords_ml(
         constraints=[{"type": "ineq", "fun": constraint_fun, "jac": constraint_jac}],
         options={"maxiter": max_iter, "ftol": 1e-10},
     )
+    if not res.success and "Iteration limit" in str(res.message):
+        warnings.warn(
+            f"likelihood ascent stopped at the iteration limit ({max_iter}); "
+            "returning the best feasible iterate",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     z_res = np.asarray(res.x, dtype=float)
     vals, _ = _corner_values_and_jac(grid, z_res, tables, want_jac=False)
     if vals.min() >= epsilon - 1e-9 and value(z_res) < best["f"]:
@@ -642,17 +601,46 @@ def _initial_cov(dataset: Dataset, fitted: np.ndarray,
         return CovParams(sigma2=0.5 * v, phi=0.25 * diam, nugget=0.5 * v)
 
 
+# the margin lift aims this factor above epsilon, so that rounding in the
+# corner values cannot leave the lifted map just below it
+MARGIN_HEADROOM = 1.0 + 1e-9
+
+
+def _returned_model(grid: KnotGrid, coef: CoefPair, cov: CovParams, mean: float,
+                    diag: FitDiagnostics, epsilon: float, centre: np.ndarray,
+                    index: int) -> DeformModel:
+    """The model built from the iterate of outer pass ``index + 1``.
+
+    Gauge normalization scales every corner |J| by the square of its
+    scale, so an iterate that met the margin before it can fall short
+    after.  Such a map is lifted by the similarity of scale
+    sqrt(epsilon / min |J|) about ``centre``, with the range co-scaled,
+    so the covariance it implies is unchanged; its margin replaces entry
+    ``index`` of ``diag.margins``.
+    """
+    low = diag.margins[index]
+    if low < epsilon:
+        scale = float(np.sqrt(MARGIN_HEADROOM * epsilon / low))
+        coef = transform_coef(coef, np.eye(2), (1.0 - scale) * centre, scale)
+        cov = CovParams(cov.sigma2, cov.phi * scale, cov.nugget)
+        diag.margins[index] = float(corner_values(grid, coef).min())
+    return DeformModel(grid=grid, coef=coef, cov=cov, mean=mean, diagnostics=diag)
+
+
 def fit(dataset: Dataset, config: FitConfig) -> DeformModel:
     """Full alternating fit on a dataset.
 
     Initializes the deformed coordinates with the dispersion-driven
-    coordinate-update loop (B-spline smoother), then alternates the
-    covariance step, the coordinate step and gauge normalization until
-    the relative change of the penalized log-likelihood drops below
-    ``tol`` or ``max_outer`` is reached.  The smoothness-penalty weight
-    starts at 0 and is re-estimated after every gauge normalization by
-    the generalized Fellner-Schall update, using the coefficients'
-    Fisher information at the current covariance parameters.  Raises
+    coordinate-update loop (B-spline smoother), the only place the
+    dispersions are re-embedded.  Then it alternates the covariance
+    step, the likelihood ascent over the coefficients from the incumbent
+    ones and gauge normalization until the relative change of the
+    penalized log-likelihood drops below ``tol`` or ``max_outer`` is
+    reached.  The smoothness-penalty weight starts at 0 and is
+    re-estimated after every gauge normalization by the generalized
+    Fellner-Schall update, using the coefficients' Fisher information at
+    the current covariance parameters.  Every returned model, the best
+    model of a FitError included, has min corner |J| >= epsilon.  Raises
     FitError carrying the iteration index (and the best model so far,
     when one exists) on failure.
     """
@@ -686,24 +674,15 @@ def fit(dataset: Dataset, config: FitConfig) -> DeformModel:
 
     cov = _initial_cov(dataset, _fitted(w, coef_to_vec(coef)), d2, config.n_bins)
     prev_pll = loglik(dataset, DeformationMap(grid, coef), cov)
-    # (loglik, coef, cov) of the iterate with the highest penalized
+    centre = dataset.sites.mean(axis=0)
+    # (loglik, coef, cov, pass) of the iterate with the highest penalized
     # loglik, its penalty taken at the current weight
-    best: tuple[float, CoefPair, CovParams] | None = None
+    best: tuple[float, CoefPair, CovParams, int] | None = None
 
     for it in range(1, config.max_outer + 1):
         try:
             cov = step_cov(dataset, DeformationMap(grid, coef), cov)
-            surrogate = step_coords(
-                dataset, cov, grid, epsilon,
-                ridge=config.ridge, prev_coef=coef, dispersions=d2,
-            )
-            # the coordinate block tracks the penalized likelihood:
-            # polish the better of the surrogate refit and the incumbent
-            warm = max(
-                (surrogate, coef),
-                key=lambda c: loglik(dataset, DeformationMap(grid, c), cov) - roughness(c),
-            )
-            coef = refine_coords_ml(dataset, cov, grid, warm, epsilon, lam=lam)
+            coef = refine_coords_ml(dataset, cov, grid, coef, epsilon, lam=lam)
             dmap, gauge = normalize_gauge(DeformationMap(grid, coef), dataset.sites)
             coef = dmap.coef
             cov = CovParams(cov.sigma2, cov.phi * gauge.scale, cov.nugget)
@@ -715,9 +694,8 @@ def fit(dataset: Dataset, config: FitConfig) -> DeformModel:
         except SpatdeformError as e:
             err = FitError(f"outer iteration {it}: {e}")
             if best is not None:
-                err.best_model = DeformModel(
-                    grid, best[1], best[2], mean, diag
-                )  # type: ignore[attr-defined]
+                err.best_model = _returned_model(  # type: ignore[attr-defined]
+                    grid, best[1], best[2], mean, diag, epsilon, centre, best[3] - 1)
             raise err from e
         diag.loglik.append(ll)
         diag.margins.append(float(corner_values(grid, coef).min()))
@@ -725,11 +703,11 @@ def fit(dataset: Dataset, config: FitConfig) -> DeformModel:
         diag.iterations = it
         next_lam, diag.effective_dof = _penalty_update(lam, info, penalty, coef_to_vec(coef))
         if best is None or pll > best[0] - roughness(best[1]):
-            best = (ll, coef, cov)
+            best = (ll, coef, cov, it)
         if abs(pll - prev_pll) <= config.tol * (1.0 + abs(prev_pll)):
             diag.converged = True
             break
         prev_pll = pll
         lam = next_lam
 
-    return DeformModel(grid=grid, coef=coef, cov=cov, mean=mean, diagnostics=diag)
+    return _returned_model(grid, coef, cov, mean, diag, epsilon, centre, -1)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -5,12 +7,13 @@ from scipy.linalg import cho_factor, cho_solve, lapack
 from scipy.spatial.distance import cdist
 
 from spatdeform.basis import KnotGrid, design_matrix
-from spatdeform.covariance import CovParams, DispersionMatrix, covariance_matrix
+from spatdeform.covariance import CovParams, covariance_matrix
 from spatdeform.deformation import (
     CoefPair,
     DeformationMap,
     coef_to_vec,
     corner_values,
+    default_epsilon,
     identity_coef,
     min_jacobian,
     transform_coef,
@@ -32,7 +35,6 @@ from spatdeform.estimation import (
     normalize_gauge,
     refine_coords_ml,
     replicate_loglik,
-    step_coords,
     step_cov,
 )
 from spatdeform.fields import IdentityMap, Swirl, simulate_grf
@@ -167,70 +169,16 @@ class TestStepCov:
         assert abs(loglik(ds, dmap, second) - loglik(ds, dmap, first)) < 1e-4
 
 
-class TestStepCoords:
-    def test_stationary_near_affine(self):
-        sites = grid_sites(9)
-        truth = CovParams(1.0, 0.3, 0.25)
-        z = simulate_grf(sites, IdentityMap(), truth, t=500, seed=11)
-        ds = Dataset(sites, z)
-        grid = KnotGrid(0.0, 1.0, 0.0, 1.0, 4, 4)
-        coef = step_coords(ds, truth, grid, epsilon=1e-3, prev_coef=identity_coef(grid))
-        assert coef.validated
-        dmap = DeformationMap(grid, coef)
-        assert min_jacobian(dmap) > 0
-        fitted = dmap(sites)
-        p = np.column_stack([np.ones(len(sites)), sites])
-        beta, *_ = np.linalg.lstsq(p, fitted, rcond=None)
-        rms = np.sqrt(np.mean(np.sum((fitted - p @ beta) ** 2, axis=1)))
-        assert rms < 0.1
-
-    def test_fixed_point_on_consistent_dispersions(self):
-        # dispersions generated exactly by the current map and cov leave
-        # the coefficients unchanged
-        rng = np.random.default_rng(12)
-        grid = KnotGrid(0.0, 1.0, 0.0, 1.0, 4, 4)
-        base = identity_coef(grid)
-        coef = CoefPair(
-            base.theta1 + 0.05 * rng.uniform(-1, 1, (4, 4)),
-            base.theta2 + 0.05 * rng.uniform(-1, 1, (4, 4)),
-        )
-        sites = grid_sites(8)
-        dmap = DeformationMap(grid, coef)
-        # range chosen so every pair stays inside the invertible part of
-        # the variogram (no saturation cap)
-        cov = CovParams(1.0, 0.8, 0.2)
-        y = dmap(sites)
-        h = cdist(y, y)
-        d2 = 2 * cov.nugget + 2 * cov.sigma2 * (1 - np.exp(-h / cov.phi))
-        np.fill_diagonal(d2, 0.0)
-        ds = Dataset(sites, np.zeros((len(sites), 2)) + rng.normal(size=(len(sites), 2)))
-        new = step_coords(
-            ds, cov, grid, epsilon=1e-3, prev_coef=coef,
-            dispersions=DispersionMatrix(d2),
-        )
-        before = dmap(sites)
-        after = DeformationMap(grid, new)(sites)
-        assert np.sqrt(np.mean((before - after) ** 2)) < 1e-4
-
-    def test_always_validated(self):
-        sites = grid_sites(7)
-        z = simulate_grf(sites, Swirl(), CovParams(1.0, 0.25, 1.0), t=50, seed=13)
-        ds = Dataset(sites, z)
-        grid = KnotGrid(0.0, 1.0, 0.0, 1.0, 4, 4)
-        coef = step_coords(ds, CovParams(1.0, 0.25, 1.0), grid, epsilon=1e-3,
-                           prev_coef=identity_coef(grid))
-        assert coef.validated
-        assert corner_values(grid, coef).min() >= 1e-3 - 1e-9
-
-
 class TestRefineCoordsMl:
-    def test_improves_likelihood_and_stays_feasible(self):
+    @pytest.fixture(scope="class")
+    def problem(self):
         sites = grid_sites(7)
-        truth = Swirl(strength=1.0)
         cov = CovParams(1.0, 0.25, 0.5)
-        z = simulate_grf(sites, truth, cov, t=80, seed=14)
-        ds = Dataset(sites, z)
-        grid = KnotGrid(0.0, 1.0, 0.0, 1.0, 4, 4)
+        z = simulate_grf(sites, Swirl(strength=1.0), cov, t=80, seed=14)
+        return Dataset(sites, z), cov, KnotGrid(0.0, 1.0, 0.0, 1.0, 4, 4)
+
+    def test_improves_likelihood_and_stays_feasible(self, problem):
+        ds, cov, grid = problem
         start = identity_coef(grid)
         eps = 1e-3
         refined = refine_coords_ml(ds, cov, grid, start, epsilon=eps)
@@ -239,6 +187,15 @@ class TestRefineCoordsMl:
         ll_start = loglik(ds, DeformationMap(grid, start), cov)
         ll_ref = loglik(ds, DeformationMap(grid, refined), cov)
         assert ll_ref >= ll_start
+
+    def test_warns_at_the_iteration_cap(self, problem):
+        ds, cov, grid = problem
+        start = identity_coef(grid)
+        with pytest.warns(RuntimeWarning, match=r"iteration limit \(2\)"):
+            refined = refine_coords_ml(ds, cov, grid, start, epsilon=1e-3, max_iter=2)
+        assert corner_values(grid, refined).min() >= 1e-3 - 1e-9
+        assert (loglik(ds, DeformationMap(grid, refined), cov)
+                >= loglik(ds, DeformationMap(grid, start), cov))
 
 
 def wobbled(grid, rng, amount=0.05):
@@ -612,6 +569,78 @@ class TestFit:
                for ll, c in zip(d.loglik, iterates)]
         expected = iterates[int(np.argmax(pll))]
         assert np.array_equal(coef_to_vec(best.coef), coef_to_vec(expected))
+
+    def test_no_constrained_least_squares_after_initialization(
+            self, stationary_dataset, monkeypatch):
+        # the dispersions are re-embedded and smoothed only by sg_initialize
+        # and the one initial fit; the outer passes ascend the likelihood
+        import spatdeform.estimation as est
+        import spatdeform.smoothers as smoothers
+
+        real_fit_ls, real_init = smoothers.fit_bspline_constrained, est.sg_initialize
+        calls = {"n": 0, "after_init": None}
+
+        def counting_fit_ls(*args, **kwargs):
+            calls["n"] += 1
+            return real_fit_ls(*args, **kwargs)
+
+        def recording_init(*args, **kwargs):
+            out = real_init(*args, **kwargs)
+            calls["after_init"] = calls["n"]
+            return out
+
+        monkeypatch.setattr(smoothers, "fit_bspline_constrained", counting_fit_ls)
+        monkeypatch.setattr(est, "fit_bspline_constrained", counting_fit_ls)
+        monkeypatch.setattr(est, "sg_initialize", recording_init)
+        model = est.fit(stationary_dataset, FitConfig(k1=4, k2=4, tol=0.0, max_outer=3))
+        assert model.diagnostics.iterations == 3
+        assert calls["after_init"] is not None
+        assert calls["n"] == calls["after_init"] + 1
+
+    def test_returned_models_meet_the_margin(self, stationary_dataset, monkeypatch):
+        # a gauge that shrinks the plane 100-fold scales every corner |J|
+        # by 1e-4, below the margin; the returned model, and the best model
+        # of a FitError, are lifted back to it without changing the
+        # covariance they imply
+        import spatdeform.estimation as est
+
+        real_normalize, real_step_cov = est.normalize_gauge, est.step_cov
+
+        def shrinking_normalize(dmap, sites):
+            out, t = real_normalize(dmap, sites)
+            centre = np.mean(sites, axis=0)
+            coef = transform_coef(out.coef, np.eye(2), 0.99 * centre, 0.01)
+            return DeformationMap(out.grid, coef), replace(t, scale=0.01 * t.scale)
+
+        monkeypatch.setattr(est, "normalize_gauge", shrinking_normalize)
+        ds = stationary_dataset
+        model = est.fit(ds, FitConfig(k1=4, k2=4, tol=0.0, max_outer=2))
+        eps = default_epsilon(model.grid)
+        margin = corner_values(model.grid, model.coef).min()
+        assert model.coef.validated
+        assert eps <= margin < 1.01 * eps
+        assert model.diagnostics.margins[-1] == margin
+        assert_allclose(loglik(ds, model.mapping(), model.cov),
+                        model.diagnostics.loglik[-1], rtol=1e-12)
+
+        calls = {"n": 0}
+
+        def flaky_step_cov(dataset, mapping, cov_init):
+            calls["n"] += 1
+            if calls["n"] >= 3:
+                raise NumericalError("synthetic failure")
+            return real_step_cov(dataset, mapping, cov_init)
+
+        monkeypatch.setattr(est, "step_cov", flaky_step_cov)
+        with pytest.raises(FitError, match="outer iteration 3") as excinfo:
+            est.fit(ds, FitConfig(k1=4, k2=4, tol=0.0, max_outer=5))
+        best = excinfo.value.best_model
+        margin = corner_values(best.grid, best.coef).min()
+        assert eps <= margin < 1.01 * eps
+        assert margin in best.diagnostics.margins
+        assert_allclose(loglik(ds, best.mapping(), best.cov),
+                        best.diagnostics.loglik[best.diagnostics.margins.index(margin)],
+                        rtol=1e-12)
 
     def test_k2_degenerate_capacity_on_stationary_data(self):
         # a 2 x 2 coefficient grid can only express bilinear maps; on
