@@ -494,6 +494,12 @@ def _penalty_update(lam: float, info: np.ndarray, penalty: SmoothnessPenalty,
     return l, edf
 
 
+# eigenvalues of the preconditioning metric are floored at this fraction
+# of the largest: the shift and rotation gauge directions, on which the
+# likelihood is flat, get a large but finite scale
+PRECONDITION_FLOOR = 1e-6
+
+
 def refine_coords_ml(
     dataset: Dataset,
     cov: CovParams,
@@ -508,9 +514,16 @@ def refine_coords_ml(
     Maximizes ``loglik - lam / 2 * penalty`` directly over both
     coefficient matrices, starting from ``coef``, under the non-folding
     corner constraints (SLSQP with the analytic gradient); ``lam == 0``
-    is plain maximum likelihood.  Returns the best feasible coefficients
-    found, never worse than the input, and warns when SLSQP stops at
-    ``max_iter``.
+    is plain maximum likelihood.  SLSQP starts from an identity
+    quasi-Newton matrix, so it runs in variables u with
+    z = z0 + V diag(beta)^-1/2 u, where V diag(beta) V' is the metric
+    H = I(z0) + lam * M(z0): the coefficients' Fisher information at the
+    incoming coefficients plus the penalty's quadratic form.  The
+    eigenvalues beta are floored at PRECONDITION_FLOOR of the largest,
+    which covers the gauge directions (shift and rotation) where the
+    likelihood is flat.  Returns the best feasible coefficients found,
+    never worse than the input, and warns when SLSQP does not report
+    success.
     """
     tables = _corner_tables(grid)
     evaluate = coef_objective(dataset, cov, grid, lam)
@@ -524,13 +537,20 @@ def refine_coords_ml(
             last["z"], last["f"] = np.array(z, dtype=float), evaluate(z, want_grad=False)[0]
         return last["f"]
 
-    def gradient(z):
-        return evaluate(z)[1]
-
     z0 = coef_to_vec(coef)
     best = {"z": z0.copy(), "f": value(z0)}
 
-    def constraint_fun(z):
+    metric = coef_fisher_information(dataset, cov, grid, coef)
+    if lam > 0:
+        metric += lam * SmoothnessPenalty.for_sites(grid, dataset.sites).matrix(z0)
+    beta, v = np.linalg.eigh(metric)
+    scale = v / np.sqrt(np.maximum(beta, PRECONDITION_FLOOR * beta.max()))
+
+    def to_z(u):
+        return z0 + scale @ u
+
+    def constraint_fun(u):
+        z = to_z(u)
         vals, _ = _corner_values_and_jac(grid, z, tables, want_jac=False)
         if vals.min() >= epsilon - 1e-9:
             f = value(z)
@@ -539,25 +559,26 @@ def refine_coords_ml(
                 best["f"] = f
         return vals - epsilon
 
-    def constraint_jac(z):
-        return _corner_values_and_jac(grid, z, tables, want_jac=True)[1]
+    def constraint_jac(u):
+        return _corner_values_and_jac(grid, to_z(u), tables, want_jac=True)[1] @ scale
 
     res = minimize(
-        value,
-        z0,
-        jac=gradient,
+        lambda u: value(to_z(u)),
+        np.zeros(z0.size),
+        jac=lambda u: scale.T @ evaluate(to_z(u))[1],
         method="SLSQP",
         constraints=[{"type": "ineq", "fun": constraint_fun, "jac": constraint_jac}],
         options={"maxiter": max_iter, "ftol": 1e-10},
     )
-    if not res.success and "Iteration limit" in str(res.message):
+    if not res.success:
         warnings.warn(
-            f"likelihood ascent stopped at the iteration limit ({max_iter}); "
+            f"likelihood ascent did not succeed after {res.nit} iterations, "
+            f"iteration limit ({max_iter}): {res.message}; "
             "returning the best feasible iterate",
             RuntimeWarning,
             stacklevel=2,
         )
-    z_res = np.asarray(res.x, dtype=float)
+    z_res = to_z(res.x)
     vals, _ = _corner_values_and_jac(grid, z_res, tables, want_jac=False)
     if vals.min() >= epsilon - 1e-9 and value(z_res) < best["f"]:
         best = {"z": z_res, "f": value(z_res)}

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 from scipy.spatial.distance import cdist
 
 from .covariance import CovParams, cholesky_or_raise, covariance_matrix
@@ -34,9 +35,6 @@ class IdentityMap:
 
     def __call__(self, points) -> np.ndarray:
         return np.array(points, dtype=float)
-
-    def jacobian(self, points) -> np.ndarray:
-        return np.ones(np.asarray(points).shape[0])
 
 
 @dataclass(frozen=True)
@@ -74,9 +72,6 @@ class Swirl:
     def inverse(self) -> "Swirl":
         return Swirl(self.center, -self.strength, self.radius)
 
-    def jacobian(self, points) -> np.ndarray:
-        return np.ones(np.atleast_2d(np.asarray(points)).shape[0])
-
 
 def simulate_grf(sites, truth, cov: CovParams, t: int, seed: int) -> np.ndarray:
     """Simulate T i.i.d. replicate columns of a zero-mean Gaussian field.
@@ -111,15 +106,15 @@ def _kriging_system(model, sites, values, pred_sites):
     c[np.diag_indices_from(c)] += cov.nugget
     cross = cov.sigma2 * np.exp(-cdist(y, yp) / cov.phi)
     try:
-        ell = np.linalg.cholesky(c)
+        factor = cho_factor(c, lower=True)
     except np.linalg.LinAlgError as e:
         raise NumericalError(f"kriging system is singular: {e}") from None
     z = np.asarray(values, dtype=float).ravel()
     if z.shape[0] != y.shape[0]:
         raise ValueError(f"expected {y.shape[0]} observed values, got {z.shape[0]}")
     resid = z - model.mean
-    alpha = np.linalg.solve(ell.T, np.linalg.solve(ell, resid))
-    cross_solved = np.linalg.solve(ell.T, np.linalg.solve(ell, cross))
+    alpha = cho_solve(factor, resid, check_finite=False)
+    cross_solved = cho_solve(factor, cross, check_finite=False)
     mean = model.mean + cross.T @ alpha
     return yp, c, cross, cross_solved, mean
 

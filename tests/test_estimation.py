@@ -642,6 +642,34 @@ class TestFit:
                         best.diagnostics.loglik[best.diagnostics.margins.index(margin)],
                         rtol=1e-12)
 
+    def test_likelihood_ascent_converges(self, monkeypatch):
+        # the simulation study's K=8 fit of seed 1: every SLSQP ascent of
+        # the coefficients ends in success, none at its iteration cap
+        import warnings
+
+        import spatdeform.estimation as est
+
+        real_minimize = est.minimize
+        outcomes = []
+
+        def recording_minimize(*args, **kwargs):
+            res = real_minimize(*args, **kwargs)
+            if kwargs.get("method") == "SLSQP":
+                outcomes.append((res.success, res.message))
+            return res
+
+        monkeypatch.setattr(est, "minimize", recording_minimize)
+        g = np.linspace(0.0, 1.0, 11)
+        sites = np.column_stack([a.ravel() for a in np.meshgrid(g, g, indexing="ij")])
+        swirl = Swirl(center=(0.5, 0.5), strength=1.5, radius=0.35)
+        z = simulate_grf(sites, swirl, CovParams(1.0, 0.25, 1.0), t=100, seed=1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            model = est.fit(Dataset(sites, z), FitConfig(k1=8, k2=8))
+        assert len(outcomes) == model.diagnostics.iterations
+        assert all(ok for ok, _ in outcomes), outcomes
+        assert not [w for w in caught if "likelihood ascent" in str(w.message)]
+
     def test_k2_degenerate_capacity_on_stationary_data(self):
         # a 2 x 2 coefficient grid can only express bilinear maps; on
         # stationary data it should stay near the identity and still
