@@ -183,23 +183,9 @@ def corner_values(grid: KnotGrid, coef: CoefPair) -> np.ndarray:
     the closed cell.
     """
     coef.check_grid(grid)
-    p = coef.theta1
-    q = coef.theta2
-    p_ub = p[1:, :-1] - p[:-1, :-1]   # d/du1 along bottom edge
-    p_ut = p[1:, 1:] - p[:-1, 1:]     # d/du1 along top edge
-    p_vl = p[:-1, 1:] - p[:-1, :-1]   # d/du2 along left edge
-    p_vr = p[1:, 1:] - p[1:, :-1]     # d/du2 along right edge
-    q_ub = q[1:, :-1] - q[:-1, :-1]
-    q_ut = q[1:, 1:] - q[:-1, 1:]
-    q_vl = q[:-1, 1:] - q[:-1, :-1]
-    q_vr = q[1:, 1:] - q[1:, :-1]
-    scale = 1.0 / (grid.tau1 * grid.tau2)
-    out = np.empty((grid.k1 - 1, grid.k2 - 1, 4))
-    out[:, :, 0] = (p_ub * q_vl - p_vl * q_ub) * scale
-    out[:, :, 1] = (p_ub * q_vr - p_vr * q_ub) * scale
-    out[:, :, 2] = (p_ut * q_vl - p_vl * q_ut) * scale
-    out[:, :, 3] = (p_ut * q_vr - p_vr * q_ut) * scale
-    return out
+    vals, _ = _corner_values_and_jac(grid, coef_to_vec(coef), _corner_tables(grid),
+                                     want_jac=False)
+    return vals.reshape(grid.k1 - 1, grid.k2 - 1, 4)
 
 
 @dataclass(frozen=True)
@@ -254,14 +240,9 @@ def _corner_tables(grid: KnotGrid) -> dict[str, np.ndarray]:
     dPv = P[ci+s1, cj+1] - P[ci+s1, cj]  (difference along axis 2)
     and the same slots in Q.  Used by the constrained optimizers.
     """
-    k1, k2 = grid.k1, grid.k2
-    cells = [
-        (a, b, u, v)
-        for a in range(k1 - 1)
-        for b in range(k2 - 1)
-        for u, v in CORNER_ORDER
-    ]
-    ci, cj, s1, s2 = (np.array(col) for col in zip(*cells))
+    k1 = grid.k1
+    ci, cj, corner = np.indices((k1 - 1, grid.k2 - 1, len(CORNER_ORDER))).reshape(3, -1)
+    s1, s2 = np.array(CORNER_ORDER)[corner].T
 
     def flat(a, b):
         return a + k1 * b
@@ -277,8 +258,10 @@ def _corner_tables(grid: KnotGrid) -> dict[str, np.ndarray]:
 def _corner_values_and_jac(grid: KnotGrid, z: np.ndarray, tables, want_jac=True):
     """Corner values (and Jacobian) from stacked coefficient vectors.
 
-    ``z`` concatenates vec(theta1) and vec(theta2) (column-major).  The
-    values match corner_values(...).ravel().
+    ``z`` concatenates vec(theta1) and vec(theta2) (column-major); the
+    values are corner_values(...).ravel().  Each row of the dense
+    Jacobian has 8 nonzeros, one per index slot; within a slot every row
+    names one column, so one fancy-indexed assignment fills it.
     """
     m = grid.k1 * grid.k2
     v1, v2 = z[:m], z[m:]
@@ -290,17 +273,13 @@ def _corner_values_and_jac(grid: KnotGrid, z: np.ndarray, tables, want_jac=True)
     vals = (dpu * dqv - dpv * dqu) * scale
     if not want_jac:
         return vals, None
-    n_con = vals.size
-    jac = np.zeros((n_con, 2 * m))
-    rows = np.arange(n_con)
-    np.add.at(jac, (rows, tables["u_hi"]), dqv * scale)
-    np.add.at(jac, (rows, tables["u_lo"]), -dqv * scale)
-    np.add.at(jac, (rows, tables["v_hi"]), -dqu * scale)
-    np.add.at(jac, (rows, tables["v_lo"]), dqu * scale)
-    np.add.at(jac, (rows, m + tables["v_hi"]), dpu * scale)
-    np.add.at(jac, (rows, m + tables["v_lo"]), -dpu * scale)
-    np.add.at(jac, (rows, m + tables["u_hi"]), -dpv * scale)
-    np.add.at(jac, (rows, m + tables["u_lo"]), dpv * scale)
+    jac = np.zeros((vals.size, 2 * m))
+    rows = np.arange(vals.size)
+    for offset, slot, weight in (
+        (0, "u_hi", dqv), (0, "u_lo", -dqv), (0, "v_hi", -dqu), (0, "v_lo", dqu),
+        (m, "v_hi", dpu), (m, "v_lo", -dpu), (m, "u_hi", -dpv), (m, "u_lo", dpv),
+    ):
+        jac[rows, offset + tables[slot]] += weight * scale
     return vals, jac
 
 

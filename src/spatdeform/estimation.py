@@ -18,6 +18,7 @@ the generalized Fellner-Schall update (Wood & Fasiolo 2017).
 
 from __future__ import annotations
 
+import contextlib
 import warnings
 from dataclasses import dataclass, field
 
@@ -53,7 +54,7 @@ from .errors import (
     SpatdeformError,
 )
 from .scaling import ProcrustesTransform, configuration_stress, procrustes, sg_initialize
-from .smoothers import fit_bspline_constrained, make_bspline_smoother
+from .smoothers import _feasible_start, make_bspline_smoother
 
 __all__ = [
     "Dataset",
@@ -134,6 +135,8 @@ class FitDiagnostics:
     init_stress: float = float("nan")
     iterations: int = 0
     converged: bool = False
+    # each optimizer warning raised inside fit, as "pass N: <message>";
+    # pass 0 is the initialization
     messages: list[str] = field(default_factory=list)
     # smoothness-penalty weight used in each outer iteration, and the
     # effective degrees of freedom tr((I + lam S)^+ I) of the returned fit
@@ -648,22 +651,45 @@ def _returned_model(grid: KnotGrid, coef: CoefPair, cov: CovParams, mean: float,
     return DeformModel(grid=grid, coef=coef, cov=cov, mean=mean, diagnostics=diag)
 
 
+@contextlib.contextmanager
+def _noted_warnings(messages: list[str], label: str):
+    """Append every RuntimeWarning raised inside the block to ``messages``
+    as "<label>: <message>", then issue each warning again."""
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            yield
+    finally:
+        for w in caught:
+            if issubclass(w.category, RuntimeWarning):
+                messages.append(f"{label}: {w.message}")
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno,
+                                   source=w.source)
+
+
 def fit(dataset: Dataset, config: FitConfig) -> DeformModel:
     """Full alternating fit on a dataset.
 
     Initializes the deformed coordinates with the dispersion-driven
     coordinate-update loop (B-spline smoother), the only place the
-    dispersions are re-embedded.  Then it alternates the covariance
-    step, the likelihood ascent over the coefficients from the incumbent
-    ones and gauge normalization until the relative change of the
-    penalized log-likelihood drops below ``tol`` or ``max_outer`` is
-    reached.  The smoothness-penalty weight starts at 0 and is
-    re-estimated after every gauge normalization by the generalized
-    Fellner-Schall update, using the coefficients' Fisher information at
-    the current covariance parameters.  Every returned model, the best
-    model of a FitError included, has min corner |J| >= epsilon.  Raises
-    FitError carrying the iteration index (and the best model so far,
-    when one exists) on failure.
+    dispersions are re-embedded.  The first coefficients are the
+    feasible affine start of that configuration (``_feasible_start``:
+    its affine least-squares fit, else its similarity fit, else the
+    shifted identity); the likelihood ascent starts better from it than
+    from the constrained least-squares fit, whose corners sit on the
+    margin.  Then it alternates the covariance step, the likelihood
+    ascent over the coefficients from the incumbent ones and gauge
+    normalization until the relative change of the penalized
+    log-likelihood drops below ``tol`` or ``max_outer`` is reached.  The
+    smoothness-penalty weight starts at 0 and is re-estimated after
+    every gauge normalization by the generalized Fellner-Schall update,
+    using the coefficients' Fisher information at the current covariance
+    parameters.  Every returned model, the best model of a FitError
+    included, has min corner |J| >= epsilon.  Each optimizer warning
+    raised inside is issued again and recorded in the diagnostics'
+    ``messages`` as "pass N: <message>" (pass 0 is the initialization).
+    Raises FitError carrying the iteration index (and the best model so
+    far, when one exists) on failure.
     """
     grid = _grid_from_sites(dataset.sites, config.k1, config.k2)
     epsilon = config.epsilon if config.epsilon is not None else default_epsilon(grid)
@@ -673,14 +699,13 @@ def fit(dataset: Dataset, config: FitConfig) -> DeformModel:
 
     smoother = make_bspline_smoother(grid, epsilon=epsilon, ridge=config.ridge)
     try:
-        init_config = sg_initialize(
-            d2, dataset.sites, smoother,
-            max_iter=config.sg_max_iter, tol=config.sg_tol, n_bins=config.n_bins,
-        )
+        with _noted_warnings(diag.messages, "pass 0"):
+            init_config = sg_initialize(
+                d2, dataset.sites, smoother,
+                max_iter=config.sg_max_iter, tol=config.sg_tol, n_bins=config.n_bins,
+            )
         diag.init_stress = configuration_stress(d2, init_config)
-        coef = fit_bspline_constrained(
-            grid, dataset.sites, init_config.points, epsilon=epsilon, ridge=config.ridge
-        )
+        coef = _feasible_start(grid, dataset.sites, init_config.points, epsilon)
     except InfeasibilityError:
         raise
     except SpatdeformError as e:
@@ -702,8 +727,9 @@ def fit(dataset: Dataset, config: FitConfig) -> DeformModel:
 
     for it in range(1, config.max_outer + 1):
         try:
-            cov = step_cov(dataset, DeformationMap(grid, coef), cov)
-            coef = refine_coords_ml(dataset, cov, grid, coef, epsilon, lam=lam)
+            with _noted_warnings(diag.messages, f"pass {it}"):
+                cov = step_cov(dataset, DeformationMap(grid, coef), cov)
+                coef = refine_coords_ml(dataset, cov, grid, coef, epsilon, lam=lam)
             dmap, gauge = normalize_gauge(DeformationMap(grid, coef), dataset.sites)
             coef = dmap.coef
             cov = CovParams(cov.sigma2, cov.phi * gauge.scale, cov.nugget)

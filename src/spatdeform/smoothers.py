@@ -3,7 +3,11 @@
 Two ways to turn noisy target coordinates into a smooth deformation:
 the classical thin-plate spline (used as the comparison baseline) and a
 tensor-product B-spline least-squares fit with explicit non-folding
-corner constraints.
+corner constraints.  The constrained fit is a convex quadratic in the
+2 K1 K2 coefficients under 4 (K1-1)(K2-1) bilinear corner constraints;
+it is solved by a dense primal-dual interior-point Newton method (Boyd
+& Vandenberghe 2004, ch. 11; Nocedal & Wright 2006, ch. 19) from a
+strictly interior blend of the unconstrained optimum and an affine map.
 """
 
 from __future__ import annotations
@@ -13,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.optimize import brentq, minimize
+from scipy.linalg import cho_factor, cho_solve
+from scipy.optimize import brentq
 from scipy.spatial.distance import cdist
 
 from .basis import KnotGrid, design_matrix
@@ -195,7 +200,7 @@ def _affine_lift(grid: KnotGrid, beta: np.ndarray) -> CoefPair:
 
 
 def _feasible_start(grid, sites, targets, epsilon) -> CoefPair:
-    """A coefficient pair clearing every corner constraint.
+    """A coefficient pair strictly clearing every corner constraint.
 
     Tries the affine least-squares fit of the targets, then a
     similarity (proper rotation + scale) fit, then the identity map
@@ -223,12 +228,138 @@ def _feasible_start(grid, sites, targets, epsilon) -> CoefPair:
     candidates.append(CoefPair(ident.theta1 + center_shift[0], ident.theta2 + center_shift[1]))
 
     for cand in candidates:
-        if corner_values(grid, cand).min() >= epsilon:
+        if corner_values(grid, cand).min() > epsilon:
             return cand
     raise InfeasibilityError(
         f"no feasible starting coefficients: every affine candidate has "
-        f"Jacobian below the margin {epsilon}"
+        f"Jacobian at or below the margin {epsilon}"
     )
+
+
+# the interior-point solve starts where every corner keeps at least this
+# fraction of the affine start's slack |J| - epsilon
+START_SLACK_FRACTION = 0.1
+# a step may use up at most this fraction of any corner's slack
+BOUNDARY_FRACTION = 0.995
+# the barrier weight falls by this factor once its subproblem is solved
+BARRIER_DECREASE = 0.1
+# the solve stops at the barrier weight whose duality gap (weight times
+# the number of corners) is this fraction of what the start can gain:
+# its objective less the unconstrained minimum
+GAP_TOLERANCE = 1e-8
+
+
+def _boundary_step(slack, slope, curvature) -> float:
+    """Largest step in (0, 1] that uses up at most BOUNDARY_FRACTION of
+    any slack.
+
+    Along a direction each corner slack is quadratic in the step length
+    a: slack + a slope + a^2 curvature.  The bound is its least positive
+    crossing of (1 - BOUNDARY_FRACTION) slack, from the root formula
+    that does not cancel.
+    """
+    c = BOUNDARY_FRACTION * slack
+    disc = slope * slope - 4.0 * curvature * c
+    den = -slope + np.sqrt(np.maximum(disc, 0.0))
+    hits = (disc >= 0.0) & (den > 0.0)
+    return min(1.0, float(np.min(2.0 * c[hits] / den[hits]))) if hits.any() else 1.0
+
+
+def _interior_point_ls(grid: KnotGrid, gmat, cvec, y_norm2, z_unc, z0, epsilon,
+                       max_iter) -> np.ndarray:
+    """Primal-dual interior-point Newton on the non-folding least squares.
+
+    Minimizes f(z) = sum_k (v_k' G v_k - 2 c_k' v_k) + |y|^2 over the
+    stacked coefficients z = (v_1, v_2) subject to every corner value
+    |J|(z) > epsilon, from the strictly interior point ``z0``.  Each
+    Newton step solves (H_L + J' diag(lam / s) J) dz = -grad of the
+    barrier f - mu sum log s, with s the corner slacks, J their Jacobian
+    and H_L the Hessian of the Lagrangian: the objective's 2 G blocks
+    less the dual-weighted constant Hessians of the bilinear corner
+    values.  A diagonal shift is added while Cholesky fails.  The step
+    length is the exact fraction-to-boundary bound, backtracked on the
+    barrier merit; mu falls by BARRIER_DECREASE whenever the Newton
+    decrement drops below it.  Warns on every exit that misses the
+    stopping test, and never returns a point with a higher objective
+    than ``z0``.
+    """
+    m = grid.k1 * grid.k2
+    tables = _corner_tables(grid)
+    n_con = tables["u_hi"].size
+    scale = 1.0 / (grid.tau1 * grid.tau2)
+    # corner value i is scale * ((a_i v1)(b_i v2) - (b_i v1)(a_i v2))
+    rows = np.arange(n_con)
+    a = np.zeros((n_con, m))
+    b = np.zeros((n_con, m))
+    a[rows, tables["u_hi"]], a[rows, tables["u_lo"]] = 1.0, -1.0
+    b[rows, tables["v_hi"]], b[rows, tables["v_lo"]] = 1.0, -1.0
+
+    def objective(z):
+        v = z.reshape(2, m)
+        return float(np.einsum("im,mk,ik->", v, gmat, v) - 2.0 * np.sum(v * cvec.T)) + y_norm2
+
+    def corners(z):
+        return _corner_values_and_jac(grid, z, tables, want_jac=False)[0]
+
+    def merit(z, mu):
+        s = corners(z) - epsilon
+        return objective(z) - mu * float(np.sum(np.log(s))) if s.min() > 0 else np.inf
+
+    gain = objective(z0) - objective(z_unc)
+    mu, mu_min = BARRIER_DECREASE * gain / n_con, GAP_TOLERANCE * gain / n_con
+    z = z0
+    lam = mu / (corners(z) - epsilon)
+    failure = f"stopped at the iteration limit ({max_iter})"
+    for it in range(1, max_iter + 1):
+        vals, jac = _corner_values_and_jac(grid, z, tables)
+        s = vals - epsilon
+        cross = scale * (a.T @ (lam[:, None] * b) - b.T @ (lam[:, None] * a))
+        hess = jac.T @ ((lam / s)[:, None] * jac)
+        hess[:m, :m] += 2.0 * gmat
+        hess[m:, m:] += 2.0 * gmat
+        hess[:m, m:] -= cross
+        hess[m:, :m] += cross
+        shift = 0.0
+        while True:
+            try:
+                factor = cho_factor(hess + shift * np.eye(2 * m), lower=True)
+                break
+            except np.linalg.LinAlgError:
+                shift = max(4.0 * shift, 1e-10 * np.abs(np.diag(hess)).max())
+        grad_f = (2.0 * (z.reshape(2, m) @ gmat) - 2.0 * cvec.T).ravel()
+        while True:
+            grad = grad_f - jac.T @ (mu / s)
+            dz = -cho_solve(factor, grad)
+            decrement = -float(grad @ dz)
+            if decrement > mu or mu <= mu_min:
+                break
+            mu = max(BARRIER_DECREASE * mu, mu_min)
+        if decrement <= mu:
+            failure = None
+            break
+        slope = jac @ dz
+        alpha = _boundary_step(s, slope, corners(dz))
+        phi = merit(z, mu)
+        while alpha >= 1e-12 and merit(z + alpha * dz, mu) > phi - 1e-4 * alpha * decrement:
+            alpha *= 0.5
+        if alpha < 1e-12:
+            failure = f"line search failed after {it} iterations"
+            break
+        dlam = mu / s - lam - (lam / s) * slope
+        shrink = dlam < 0
+        dual_step = min(1.0, float(np.min(-BOUNDARY_FRACTION * lam[shrink] / dlam[shrink]))
+                        ) if shrink.any() else 1.0
+        z = z + alpha * dz
+        s = corners(z) - epsilon
+        # keep each multiplier within a wide band around mu / s
+        lam = np.clip(lam + dual_step * dlam, 1e-10 * mu / s, 1e10 * mu / s)
+    if failure is not None:
+        warnings.warn(
+            f"constrained fit: {failure} at barrier weight {mu:.3g}; "
+            "returning the last iterate",
+            RuntimeWarning, stacklevel=3,
+        )
+    return z if objective(z) <= objective(z0) else z0
 
 
 def fit_bspline_constrained(
@@ -237,7 +368,6 @@ def fit_bspline_constrained(
     targets,
     epsilon: float | None = None,
     ridge: float | None = None,
-    start: CoefPair | None = None,
     max_iter: int = 300,
 ) -> CoefPair:
     """Least-squares coefficient fit subject to non-folding constraints.
@@ -245,9 +375,13 @@ def fit_bspline_constrained(
     Minimizes the squared residual of the mapped sites against the
     targets (plus an optional ridge term) subject to every corner
     Jacobian being at least ``epsilon``.  When the unconstrained
-    optimum already satisfies the constraints it is returned directly;
-    otherwise an SLSQP pass refines a feasible starting point, and the
-    best feasible iterate is kept.  The returned pair is validated.
+    optimum already satisfies the constraints it is returned directly.
+    Otherwise a primal-dual interior-point Newton solve
+    (``_interior_point_ls``) starts from the blend of the unconstrained
+    optimum and the affine feasible start (``_feasible_start``) nearest
+    the optimum that keeps START_SLACK_FRACTION of the start's slack.
+    The result is strictly feasible, its objective is no higher than the
+    feasible start's, and the returned pair is validated.
 
     ``ridge`` defaults to 1e-8 n when the coefficients outnumber the
     sites (rank deficiency), else 0.
@@ -270,83 +404,20 @@ def fit_bspline_constrained(
     w = design_matrix(grid, sites)
     gmat = (w.T @ w).toarray() + ridge * np.eye(m)
     cvec = np.asarray(w.T @ targets)
-    y_norm2 = float(np.sum(targets**2))
-    tables = _corner_tables(grid)
+    start = _feasible_start(grid, sites, targets, epsilon)
+    start_slack = corner_values(grid, start).min() - epsilon
 
-    def objective(z):
-        v = z.reshape(2, m)
-        quad = np.einsum("im,mk,ik->", v, gmat, v)
-        lin = 2.0 * float(np.sum(v * cvec.T))
-        return quad - lin + y_norm2
-
-    def objective_grad(z):
-        v = z.reshape(2, m)
-        return (2.0 * (v @ gmat) - 2.0 * cvec.T).ravel()
-
-    feasible_start = start if (
-        start is not None and corner_values(grid, start).min() >= epsilon
-    ) else None
-    if feasible_start is None:
-        feasible_start = _feasible_start(grid, sites, targets, epsilon)
-    z_start = coef_to_vec(feasible_start)
-
-    # warm start: pull the unconstrained optimum toward the feasible
-    # start until the constraints clear the margin
-    z_unc = coef_to_vec(unconstrained)
-    z0 = z_start
-    for t in np.concatenate([[0.0], np.geomspace(1e-4, 1.0, 30)]):
-        z_try = (1.0 - t) * z_unc + t * z_start
-        if _corner_values_and_jac(grid, z_try, tables, want_jac=False)[0].min() >= epsilon:
-            z0 = z_try
+    # pull the unconstrained optimum toward the feasible start until every
+    # corner keeps a fraction of the start's slack
+    z_unc, z_start = coef_to_vec(unconstrained), coef_to_vec(start)
+    for t in np.geomspace(1e-4, 1.0, 30):
+        z0 = (1.0 - t) * z_unc + t * z_start
+        slack = corner_values(grid, vec_to_coef(grid, z0)).min() - epsilon
+        if slack >= START_SLACK_FRACTION * start_slack:
             break
-
-    best = {"z": z_start, "f": objective(z_start)}
-
-    def constraint_fun(z):
-        vals, _ = _corner_values_and_jac(grid, z, tables, want_jac=False)
-        if vals.min() >= epsilon - 1e-9:
-            f = objective(z)
-            if f < best["f"]:
-                best["z"] = z.copy()
-                best["f"] = f
-        return vals - epsilon
-
-    def constraint_jac(z):
-        _, jac = _corner_values_and_jac(grid, z, tables, want_jac=True)
-        return jac
-
-    res = minimize(
-        objective,
-        z0,
-        jac=objective_grad,
-        method="SLSQP",
-        constraints=[{"type": "ineq", "fun": constraint_fun, "jac": constraint_jac}],
-        options={"maxiter": max_iter, "ftol": 1e-12},
-    )
-    if not res.success and "Iteration limit" in str(res.message):
-        warnings.warn(
-            f"constrained fit stopped at the iteration limit ({max_iter}); "
-            "returning the best feasible iterate",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-
-    candidates = [best["z"], z_start]
-    z_res = np.asarray(res.x, dtype=float)
-    vals, _ = _corner_values_and_jac(grid, z_res, tables, want_jac=False)
-    if vals.min() >= epsilon - 1e-9:
-        candidates.append(z_res)
-    else:
-        # restore feasibility by blending toward the feasible start
-        for t in np.geomspace(1e-6, 1.0, 40):
-            z_try = (1.0 - t) * z_res + t * z_start
-            v, _ = _corner_values_and_jac(grid, z_try, tables, want_jac=False)
-            if v.min() >= epsilon:
-                candidates.append(z_try)
-                break
-
-    z_best = min(candidates, key=objective)
-    return vec_to_coef(grid, z_best, validated=True)
+    z = _interior_point_ls(grid, gmat, cvec, float(np.sum(targets**2)), z_unc, z0,
+                           epsilon, max_iter)
+    return vec_to_coef(grid, z, validated=True)
 
 
 def make_bspline_smoother(grid: KnotGrid, epsilon: float | None = None,

@@ -7,3 +7,10 @@ import os
 # threaded (on two CPUs a K=8 fit runs about 3x slower with default threads)
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
+
+from hypothesis import settings  # noqa: E402
+
+# property tests draw the same examples on every run, and a slow example
+# on a loaded machine is not a failure
+settings.register_profile("spatdeform", derandomize=True, deadline=None)
+settings.load_profile("spatdeform")

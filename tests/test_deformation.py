@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from spatdeform.basis import KnotGrid
@@ -7,6 +10,8 @@ from spatdeform.deformation import (
     CORNER_ORDER,
     CoefPair,
     DeformationMap,
+    _corner_tables,
+    _corner_values_and_jac,
     assemble_A,
     cell_jacobian,
     corner_constraints,
@@ -18,6 +23,7 @@ from spatdeform.deformation import (
     jacobian_det,
     min_jacobian,
     transform_coef,
+    vec_to_coef,
 )
 from spatdeform.errors import DomainError
 
@@ -298,3 +304,51 @@ def test_default_epsilon(unit_grid):
 
 def test_corner_order_constant():
     assert CORNER_ORDER == ((0, 0), (1, 0), (0, 1), (1, 1))
+
+
+@st.composite
+def grids_and_coefs(draw):
+    """A knot grid of 2..6 knots per axis on a random box, and a stacked
+    coefficient vector for it."""
+    k1, k2 = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    lo1, lo2 = draw(st.floats(-5.0, 5.0)), draw(st.floats(-5.0, 5.0))
+    w1, w2 = draw(st.floats(0.1, 10.0)), draw(st.floats(0.1, 10.0))
+    grid = KnotGrid(lo1, lo1 + w1, lo2, lo2 + w2, k1, k2)
+    z = draw(arrays(float, 2 * k1 * k2, elements=st.floats(-10.0, 10.0)))
+    return grid, z
+
+
+class TestCornerKernel:
+    @given(grids_and_coefs())
+    def test_values_match_cell_jacobian_at_every_corner(self, case):
+        grid, z = case
+        coef = vec_to_coef(grid, z)
+        dmap = DeformationMap(grid, coef)
+        vals, _ = _corner_values_and_jac(grid, z, _corner_tables(grid), want_jac=False)
+        expected = [
+            float(cell_jacobian(dmap, ci, cj, s1, s2))
+            for ci in range(grid.k1 - 1)
+            for cj in range(grid.k2 - 1)
+            for s1, s2 in CORNER_ORDER
+        ]
+        assert_allclose(vals, expected, rtol=1e-12, atol=0.0)
+        assert np.array_equal(corner_values(grid, coef).ravel(), vals)
+
+    @given(grids_and_coefs())
+    def test_jacobian_matches_central_differences(self, case):
+        # each corner value is bilinear in z, so central differences are
+        # exact up to rounding
+        grid, z = case
+        tables = _corner_tables(grid)
+        _, jac = _corner_values_and_jac(grid, z, tables)
+        h = 1e-4
+        fd = np.empty_like(jac)
+        for j in range(z.size):
+            e = np.zeros(z.size)
+            e[j] = h
+            plus, _ = _corner_values_and_jac(grid, z + e, tables, want_jac=False)
+            minus, _ = _corner_values_and_jac(grid, z - e, tables, want_jac=False)
+            fd[:, j] = (plus - minus) / (2.0 * h)
+        scale = 1.0 / (grid.tau1 * grid.tau2)
+        assert_allclose(jac, fd, rtol=0.0, atol=1e-8 * scale * (1.0 + np.abs(z).max()) ** 2)
+        assert np.all(np.count_nonzero(jac, axis=1) <= 8)

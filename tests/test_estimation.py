@@ -572,8 +572,8 @@ class TestFit:
 
     def test_no_constrained_least_squares_after_initialization(
             self, stationary_dataset, monkeypatch):
-        # the dispersions are re-embedded and smoothed only by sg_initialize
-        # and the one initial fit; the outer passes ascend the likelihood
+        # the dispersions are re-embedded and smoothed only by sg_initialize;
+        # the outer passes start from its affine fit and ascend the likelihood
         import spatdeform.estimation as est
         import spatdeform.smoothers as smoothers
 
@@ -590,12 +590,38 @@ class TestFit:
             return out
 
         monkeypatch.setattr(smoothers, "fit_bspline_constrained", counting_fit_ls)
-        monkeypatch.setattr(est, "fit_bspline_constrained", counting_fit_ls)
         monkeypatch.setattr(est, "sg_initialize", recording_init)
         model = est.fit(stationary_dataset, FitConfig(k1=4, k2=4, tol=0.0, max_outer=3))
         assert model.diagnostics.iterations == 3
         assert calls["after_init"] is not None
-        assert calls["n"] == calls["after_init"] + 1
+        assert calls["n"] == calls["after_init"]
+
+    def test_optimizer_warnings_are_recorded(self, stationary_dataset, monkeypatch,
+                                             tmp_path):
+        # a warning of the likelihood ascent is issued again and kept in the
+        # diagnostics, which the model file carries
+        import warnings
+
+        import spatdeform.estimation as est
+        from spatdeform import modelio
+
+        real_refine = est.refine_coords_ml
+        calls = {"n": 0}
+
+        def warning_refine(*args, **kwargs):
+            calls["n"] += 1
+            if calls["n"] == 2:
+                warnings.warn("likelihood ascent: synthetic stall", RuntimeWarning)
+            return real_refine(*args, **kwargs)
+
+        monkeypatch.setattr(est, "refine_coords_ml", warning_refine)
+        with pytest.warns(RuntimeWarning, match="synthetic stall"):
+            model = est.fit(stationary_dataset,
+                            FitConfig(k1=4, k2=4, tol=0.0, max_outer=3))
+        assert "pass 2: likelihood ascent: synthetic stall" in model.diagnostics.messages
+        path = tmp_path / "model.json"
+        modelio.save_model(model, path)
+        assert modelio.load_model(path).diagnostics.messages == model.diagnostics.messages
 
     def test_returned_models_meet_the_margin(self, stationary_dataset, monkeypatch):
         # a gauge that shrinks the plane 100-fold scales every corner |J|

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -12,6 +14,7 @@ from spatdeform.deformation import (
     min_jacobian,
 )
 from spatdeform.errors import FitError, InfeasibilityError
+from spatdeform.fields import Swirl
 from spatdeform.smoothers import (
     fit_bspline_constrained,
     fit_tps,
@@ -221,6 +224,55 @@ class TestConstrainedFit:
         sites = grid_sites(6)
         with pytest.raises(InfeasibilityError):
             fit_bspline_constrained(grid, sites, sites.copy(), epsilon=2.0)
+
+    def test_solves_the_noisy_swirl_problem(self):
+        # K=8 on 11 x 11 sites: the unconstrained fit of noisy swirl targets
+        # folds, and the constrained optimum lies far below the affine start
+        g = np.linspace(0.0, 1.0, 11)
+        sites = np.column_stack([a.ravel() for a in np.meshgrid(g, g, indexing="ij")])
+        noise = 0.3 * np.random.default_rng(3).normal(size=sites.shape)
+        targets = Swirl((0.5, 0.5), 1.5, 0.35)(sites) + noise
+        grid = KnotGrid(0.0, 1.0, 0.0, 1.0, 8, 8)
+        eps = 1e-3
+        unc = unconstrained_bspline_fit(grid, sites, targets)
+        assert min_jacobian(DeformationMap(grid, unc)) < eps
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            coef = fit_bspline_constrained(grid, sites, targets, epsilon=eps)
+        p = np.column_stack([np.ones(len(sites)), sites])
+        beta, *_ = np.linalg.lstsq(p, targets, rcond=None)
+        affine_sse = float(np.sum((p @ beta - targets) ** 2))
+        fitted = eval_map_points(DeformationMap(grid, coef), sites)
+        assert float(np.sum((fitted - targets) ** 2)) <= 0.8 * affine_sse
+        assert corner_values(grid, coef).min() >= eps
+
+    def test_margin_met_and_start_never_worsened(self):
+        # every solve ends strictly feasible, below the affine start
+        grid = KnotGrid(0.0, 1.0, 0.0, 1.0, 4, 4)
+        rng = np.random.default_rng(8)
+        sites = grid_sites(8)
+        p = np.column_stack([np.ones(len(sites)), sites])
+        for wobble in (0.3, 0.8, 1.5, 3.0):
+            truth = wobbled_coef(grid, rng, wobble)
+            targets = eval_map_points(DeformationMap(grid, truth), sites)
+            beta, *_ = np.linalg.lstsq(p, targets, rcond=None)
+            affine_sse = float(np.sum((p @ beta - targets) ** 2))
+            for eps in (1e-3, 0.2):
+                coef = fit_bspline_constrained(grid, sites, targets, epsilon=eps)
+                fitted = eval_map_points(DeformationMap(grid, coef), sites)
+                assert corner_values(grid, coef).min() >= eps
+                assert float(np.sum((fitted - targets) ** 2)) <= affine_sse
+
+    def test_warns_at_the_iteration_limit(self):
+        grid = KnotGrid(0.0, 1.0, 0.0, 1.0, 4, 4)
+        folded = identity_coef(grid)
+        t1 = folded.theta1.copy()
+        t1[1, 1] = t1[2, 1] + 0.15
+        sites = grid_sites(9)
+        targets = eval_map_points(DeformationMap(grid, CoefPair(t1, folded.theta2)), sites)
+        with pytest.warns(RuntimeWarning, match="iteration limit"):
+            coef = fit_bspline_constrained(grid, sites, targets, epsilon=1e-3, max_iter=2)
+        assert corner_values(grid, coef).min() >= 1e-3
 
     def test_underdetermined_gets_default_ridge(self):
         grid = KnotGrid(0.0, 1.0, 0.0, 1.0, 6, 6)
