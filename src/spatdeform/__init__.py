@@ -2,12 +2,11 @@
 tensor-product B-spline deformations of the plane, with Gaussian random
 field simulation and Kriging on top of the fitted model."""
 
-from .basis import KnotGrid, design_matrix, eval_basis, eval_basis_deriv
+from .basis import KnotGrid, design_matrix
 from .covariance import (
     CovParams,
     DispersionMatrix,
     VariogramModel,
-    correlation,
     covariance_matrix,
     fit_variogram,
     sample_dispersions,
@@ -16,12 +15,9 @@ from .covariance import (
 from .deformation import (
     CoefPair,
     DeformationMap,
-    assemble_A,
-    corner_constraints,
     corner_values,
     default_epsilon,
     identity_coef,
-    jacobian_det,
     min_jacobian,
 )
 from .errors import (
@@ -41,7 +37,7 @@ from .estimation import (
     normalize_gauge,
     step_cov,
 )
-from .fields import IdentityMap, Swirl, conditional_simulate, krige, simulate_grf
+from .fields import Swirl, conditional_simulate, krige, simulate_grf
 from .scaling import (
     Configuration,
     classical_mds,

@@ -17,7 +17,7 @@ import scipy.sparse as sps
 
 from .errors import DomainError
 
-__all__ = ["KnotGrid", "eval_basis", "eval_basis_deriv", "design_matrix"]
+__all__ = ["KnotGrid", "design_matrix"]
 
 
 @dataclass(frozen=True)
@@ -73,21 +73,6 @@ class KnotGrid:
         lo, hi = self.axis_bounds(axis)
         return np.linspace(lo, hi, self.axis_count(axis))
 
-    @property
-    def n_cells(self) -> tuple[int, int]:
-        return self.k1 - 1, self.k2 - 1
-
-
-def _check_in_axis(grid: KnotGrid, axis: int, x: np.ndarray, context: str = "") -> None:
-    lo, hi = grid.axis_bounds(axis)
-    bad = (x < lo) | (x > hi) | ~np.isfinite(x)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        where = f" ({context}{i})" if x.size > 1 else ""
-        raise DomainError(
-            f"coordinate {x.flat[i]!r} outside axis-{axis} bounds [{lo}, {hi}]{where}"
-        )
-
 
 def cell_and_local(grid: KnotGrid, axis: int, x) -> tuple[np.ndarray, np.ndarray]:
     """Cell index and local coordinate for points on one axis.
@@ -97,54 +82,17 @@ def cell_and_local(grid: KnotGrid, axis: int, x) -> tuple[np.ndarray, np.ndarray
     out-of-bounds points.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    _check_in_axis(grid, axis, x, context="index ")
-    lo, _ = grid.axis_bounds(axis)
-    tau = grid.axis_tau(axis)
-    k = grid.axis_count(axis)
-    t = (x - lo) / tau
-    cell = np.clip(np.floor(t).astype(int), 0, k - 2)
-    u = np.clip(t - cell, 0.0, 1.0)
-    return cell, u
-
-
-def eval_basis(grid: KnotGrid, axis: int, x: float) -> np.ndarray:
-    """All K basis values at a single coordinate on one axis.
-
-    At most two entries are nonzero (the hats flanking the containing
-    cell); the values are 1-u and u for local coordinate u, so they sum
-    to one.
-    """
-    cell, u = cell_and_local(grid, axis, x)
-    c, uu = int(cell[0]), float(u[0])
-    out = np.zeros(grid.axis_count(axis))
-    out[c] = 1.0 - uu
-    out[c + 1] = uu
-    return out
-
-
-def eval_basis_deriv(grid: KnotGrid, axis: int, x: float) -> np.ndarray:
-    """All K basis derivatives at a single coordinate on one axis.
-
-    Derivatives are piecewise constant +-1/tau; at interior knots the
-    right-hand limit is returned, at the right boundary the left-hand
-    one (half-open cell rule).
-    """
-    cell, _ = cell_and_local(grid, axis, x)
-    c = int(cell[0])
-    tau = grid.axis_tau(axis)
-    out = np.zeros(grid.axis_count(axis))
-    out[c] = -1.0 / tau
-    out[c + 1] = 1.0 / tau
-    return out
-
-
-def _as_sites(sites) -> np.ndarray:
-    pts = np.asarray(sites, dtype=float)
-    if pts.ndim == 1:
-        pts = pts.reshape(1, -1)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError(f"sites must be an (n, 2) array, got shape {pts.shape}")
-    return pts
+    lo, hi = grid.axis_bounds(axis)
+    bad = (x < lo) | (x > hi) | ~np.isfinite(x)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        where = f" (index {i})" if x.size > 1 else ""
+        raise DomainError(
+            f"coordinate {x.flat[i]!r} outside axis-{axis} bounds [{lo}, {hi}]{where}"
+        )
+    t = (x - lo) / grid.axis_tau(axis)
+    cell = np.clip(np.floor(t).astype(int), 0, grid.axis_count(axis) - 2)
+    return cell, np.clip(t - cell, 0.0, 1.0)
 
 
 def design_matrix(grid: KnotGrid, sites) -> sps.csr_matrix:
@@ -155,7 +103,9 @@ def design_matrix(grid: KnotGrid, sites) -> sps.csr_matrix:
     spline surface with coefficient matrix theta at every site.  Each
     row has at most 4 nonzeros and sums to 1.
     """
-    pts = _as_sites(sites)
+    pts = np.atleast_2d(np.asarray(sites, dtype=float))
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError(f"sites must be an (n, 2) array, got shape {pts.shape}")
     n = pts.shape[0]
     try:
         c1, u1 = cell_and_local(grid, 1, pts[:, 0])

@@ -14,7 +14,6 @@ infeasibility.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
@@ -22,7 +21,13 @@ import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
 from . import modelio
-from .covariance import CovParams, covariance_matrix, fit_variogram, sample_dispersions
+from .covariance import (
+    CovParams,
+    covariance_matrix,
+    exp_covariance,
+    fit_variogram,
+    sample_dispersions,
+)
 from .deformation import min_jacobian
 from .errors import (
     DataError,
@@ -37,7 +42,8 @@ from .scaling import sg_initialize
 from .smoothers import fit_tps, make_tps_smoother, tps_effective_dof, tps_lambda_for_dof
 
 # simulation-study defaults: 11 x 11 unit grid, unit sill and nugget,
-# quarter-unit range, vortex deformation
+# quarter-unit range, vortex deformation; compare's fits use the FitConfig
+# defaults
 HARNESS_DEFAULTS = {
     "grid_n": 11,
     "sigma2": 1.0,
@@ -47,77 +53,58 @@ HARNESS_DEFAULTS = {
     "swirl_radius": 0.35,
     "t": 100,
     "seed": 1,
+    "epsilon": None,
+    "tol": 1e-6,
+    "max_outer": 10,
+    "ridge": None,
 }
 COMPARE_K = (4, 6, 8)
 # published smoothing parameters quoted for reference next to the
 # dof-matched ones
 REFERENCE_LAMBDA = {4: 30.0, 6: 7.5, 8: 3.2}
+SCATTER_COLUMNS = ["true_cov", "estimated_cov"]
 
 
-def _harness_setup(cfg: dict):
-    n_side = int(cfg.get("grid_n", HARNESS_DEFAULTS["grid_n"]))
-    g = np.linspace(0.0, 1.0, n_side)
+def _simulate_payload(args):
+    """Config (defaults filled in), output directory and simulated
+    replicates of a harness run."""
+    cfg = {**HARNESS_DEFAULTS, **modelio.read_config(args.config)}
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    g = np.linspace(0.0, 1.0, cfg["grid_n"])
     xx, yy = np.meshgrid(g, g, indexing="ij")
     sites = np.column_stack([xx.ravel(), yy.ravel()])
-    truth = Swirl(
-        center=(0.5, 0.5),
-        strength=float(cfg.get("swirl_strength", HARNESS_DEFAULTS["swirl_strength"])),
-        radius=float(cfg.get("swirl_radius", HARNESS_DEFAULTS["swirl_radius"])),
-    )
-    cov = CovParams(
-        sigma2=float(cfg.get("sigma2", HARNESS_DEFAULTS["sigma2"])),
-        phi=float(cfg.get("phi", HARNESS_DEFAULTS["phi"])),
-        nugget=float(cfg.get("nugget", HARNESS_DEFAULTS["nugget"])),
-    )
-    return sites, truth, cov
-
-
-def _simulate_payload(cfg: dict, seed: int):
-    sites, truth, cov = _harness_setup(cfg)
-    t = int(cfg.get("t", HARNESS_DEFAULTS["t"]))
-    z = simulate_grf(sites, truth, cov, t=t, seed=seed)
+    truth = Swirl(center=(0.5, 0.5), strength=cfg["swirl_strength"], radius=cfg["swirl_radius"])
+    cov = CovParams(sigma2=cfg["sigma2"], phi=cfg["phi"], nugget=cfg["nugget"])
+    seed = args.seed if args.seed is not None else cfg["seed"]
+    z = simulate_grf(sites, truth, cov, t=cfg["t"], seed=seed)
     ids = [f"s{i:03d}" for i in range(len(sites))]
-    times = [f"t{j:03d}" for j in range(t)]
-    return sites, truth, cov, z, ids, times
+    times = [f"t{j:03d}" for j in range(cfg["t"])]
+    return cfg, out, sites, truth, cov, z, ids, times
 
 
 def cmd_simulate(args) -> None:
-    cfg = modelio.read_config(args.config)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", HARNESS_DEFAULTS["seed"]))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    sites, truth, cov, z, ids, times = _simulate_payload(cfg, seed)
+    _, out, sites, truth, cov, z, ids, times = _simulate_payload(args)
 
     modelio.write_long_csv(out / "data.csv", sites, ids, times, z)
-    images = truth(sites)
-    with (out / "truth_map.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["gx1", "gx2", "dx1", "dx2"])
-        for p, q in zip(sites, images):
-            writer.writerow([modelio.fmt(p[0]), modelio.fmt(p[1]),
-                             modelio.fmt(q[0]), modelio.fmt(q[1])])
+    modelio.write_map_csv(out / "truth_map.csv", sites, truth(sites))
     ctrue = covariance_matrix(sites, truth, cov)
-    with (out / "truth_cov.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["station_i", "station_j", "cov"])
-        for i in range(len(sites)):
-            for j in range(i + 1, len(sites)):
-                writer.writerow([ids[i], ids[j], modelio.fmt(ctrue[i, j])])
+    _write_pairs(out / "truth_cov.csv", ["cov"], ids, ctrue)
     print(f"wrote {out/'data.csv'} ({len(sites)} stations x {z.shape[1]} periods), "
           f"truth_map.csv, truth_cov.csv")
 
 
 def cmd_estimate(args) -> None:
-    dataset = modelio.ingest(args.data)
-    if dataset.dropped_ids:
-        print(f"dropped {len(dataset.dropped_ids)} incomplete stations: "
-              f"{', '.join(dataset.dropped_ids)}")
     config = FitConfig(
         k1=args.k,
         k2=args.k,
         epsilon=args.epsilon,
         tol=args.tol if args.tol is not None else 1e-6,
     )
+    dataset = modelio.ingest(args.data)
+    if dataset.dropped_ids:
+        print(f"dropped {len(dataset.dropped_ids)} incomplete stations: "
+              f"{', '.join(dataset.dropped_ids)}")
     model = fit(dataset, config)
     out = Path(args.out)
     modelio.save_model(model, out)
@@ -131,6 +118,8 @@ def cmd_estimate(args) -> None:
 
 
 def cmd_predict(args) -> None:
+    if args.draws < 0:
+        raise DataError(f"--draws must be >= 0, got {args.draws}")
     model = modelio.load_model(args.model)
     dataset = modelio.ingest(args.data)
     pred_sites = modelio.read_grid_csv(args.grid)
@@ -147,12 +136,8 @@ def cmd_predict(args) -> None:
             model, dataset.sites, values, pred_sites, n_draws=args.draws, seed=args.seed
         )
         draws_csv = out.with_name(out.stem + "_draws.csv")
-        with draws_csv.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x1", "x2"] + [f"draw{d:03d}" for d in range(args.draws)])
-            for p, row in zip(pred_sites, draws):
-                writer.writerow([modelio.fmt(p[0]), modelio.fmt(p[1])]
-                                + [modelio.fmt(v) for v in row])
+        modelio.write_csv(draws_csv, ["x1", "x2"] + [f"draw{d:03d}" for d in range(args.draws)],
+                          np.hstack([pred_sites, draws]).tolist())
         print(f"wrote {draws_csv} ({args.draws} conditional draws)")
 
 
@@ -164,12 +149,12 @@ def _regression_stats(true_vals, est_vals):
     return slope, intercept, corr, mse
 
 
-def _write_scatter(path, ids, iu, true_vals, est_vals) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["station_i", "station_j", "true_cov", "estimated_cov"])
-        for i, j, t, e in zip(iu[0], iu[1], true_vals, est_vals):
-            writer.writerow([ids[i], ids[j], modelio.fmt(t), modelio.fmt(e)])
+def _write_pairs(path, columns, ids, *matrices) -> None:
+    """One row per station pair i < j, with the pair's entry of each matrix."""
+    iu = np.triu_indices(len(ids), k=1)
+    modelio.write_csv(path, ["station_i", "station_j", *columns],
+                      zip([ids[i] for i in iu[0]], [ids[j] for j in iu[1]],
+                          *(a[iu].tolist() for a in matrices)))
 
 
 def _tps_fold_count(tps, n_side: int = 100) -> int:
@@ -185,31 +170,20 @@ def _tps_fold_count(tps, n_side: int = 100) -> int:
 
 
 def cmd_compare(args) -> None:
-    cfg = modelio.read_config(args.config)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", HARNESS_DEFAULTS["seed"]))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    sites, truth, cov_true, z, ids, _ = _simulate_payload(cfg, seed)
+    cfg, out, sites, truth, cov_true, z, ids, _ = _simulate_payload(args)
     dataset = Dataset(sites, z, ids=tuple(ids))
     ctrue = covariance_matrix(sites, truth, cov_true)
     iu = np.triu_indices(len(sites), k=1)
-    true_vals = ctrue[iu]
     d2 = sample_dispersions(z)
 
     rows = []
     for k in COMPARE_K:
-        config = FitConfig(
-            k1=k, k2=k,
-            epsilon=cfg.get("epsilon"),
-            tol=float(cfg.get("tol", 1e-6)),
-            max_outer=int(cfg.get("max_outer", 10)),
-            ridge=cfg.get("ridge"),
-        )
+        config = FitConfig(k1=k, k2=k, epsilon=cfg["epsilon"], tol=cfg["tol"],
+                           max_outer=cfg["max_outer"], ridge=cfg["ridge"])
         model = fit(dataset, config)
         cest = covariance_matrix(sites, model.mapping(), model.cov)
-        est_vals = cest[iu]
-        _write_scatter(out / f"scatter_bspline_k{k}.csv", ids, iu, true_vals, est_vals)
-        slope, intercept, corr, mse = _regression_stats(true_vals, est_vals)
+        _write_pairs(out / f"scatter_bspline_k{k}.csv", SCATTER_COLUMNS, ids, ctrue, cest)
+        slope, intercept, corr, mse = _regression_stats(ctrue[iu], cest[iu])
         # effective dof of the penalized fit, per deformed coordinate
         dof = 0.5 * model.diagnostics.effective_dof
         rows.append({
@@ -229,12 +203,9 @@ def cmd_compare(args) -> None:
         tps = fit_tps(sites, config0.points, lam)
         coords = tps(sites)
         vario = fit_variogram(pdist(coords), d2.upper())
-        sigma2 = 0.5 * vario.psill
-        phi = vario.range_
-        est = sigma2 * np.exp(-cdist(coords, coords) / phi)
-        est_vals = est[iu]
-        _write_scatter(out / f"scatter_tps_dof{k*k}.csv", ids, iu, true_vals, est_vals)
-        slope, intercept, corr, mse = _regression_stats(true_vals, est_vals)
+        est = exp_covariance(cdist(coords, coords), CovParams(0.5 * vario.psill, vario.range_))
+        _write_pairs(out / f"scatter_tps_dof{k*k}.csv", SCATTER_COLUMNS, ids, ctrue, est)
+        slope, intercept, corr, mse = _regression_stats(ctrue[iu], est[iu])
         folds = _tps_fold_count(tps)
         rows.append({
             "method": "tps", "k": k, "dof": dof, "lambda": lam,
@@ -247,16 +218,7 @@ def cmd_compare(args) -> None:
               f"mse {mse:.5f} negative-|J| points {folds}/10000")
 
     report = out / "report.csv"
-    fields = ["method", "k", "dof", "lambda", "reference_lambda", "slope",
-              "intercept", "correlation", "mse", "min_jacobian", "jac_negative_count"]
-    with report.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({
-                k: (modelio.fmt(v) if isinstance(v, float) else v)
-                for k, v in row.items()
-            })
+    modelio.write_csv(report, list(rows[0]), ([row[f] for f in rows[0]] for row in rows))
     print(f"wrote {report}")
 
 
@@ -268,11 +230,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="simulate replicates from a deformed field")
-    p.add_argument("--config", required=True, help="flat key = value config file")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=None, help="overrides the config seed")
-    p.set_defaults(func=cmd_simulate)
+    def harness(name, help_text, func):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", required=True, help="flat key = value config file")
+        p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--seed", type=int, default=None, help="overrides the config seed")
+        p.set_defaults(func=func)
+
+    harness("simulate", "simulate replicates from a deformed field", cmd_simulate)
 
     p = sub.add_parser("estimate", help="fit a deformation model to long-format CSV data")
     p.add_argument("--data", required=True, help="observation CSV (station_id,x1,x2,time,value)")
@@ -292,12 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="seed for conditional draws")
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("compare", help="simulation-study comparison harness")
-    p.add_argument("--config", required=True, help="flat key = value config file")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=None, help="overrides the config seed")
-    p.set_defaults(func=cmd_compare)
-
+    harness("compare", "simulation-study comparison harness", cmd_compare)
     return parser
 
 

@@ -1,4 +1,4 @@
-"""Stationary exponential correlation in deformed coordinates, sample
+"""Stationary exponential covariance in deformed coordinates, sample
 dispersions from temporal replicates, and variogram fitting/inversion.
 
 The link between the two worlds: for sites i, j with deformed distance
@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_factor
 from scipy.optimize import least_squares
 from scipy.spatial.distance import cdist
 
@@ -21,8 +22,9 @@ __all__ = [
     "CovParams",
     "VariogramModel",
     "DispersionMatrix",
-    "correlation",
+    "exp_covariance",
     "covariance_matrix",
+    "factor_covariance",
     "cholesky_or_raise",
     "sample_dispersions",
     "fit_variogram",
@@ -97,28 +99,36 @@ class DispersionMatrix:
         return self.values[iu]
 
 
-def correlation(h, params: CovParams):
-    """Exponential correlation exp(-h / phi); h may be scalar or array."""
-    h = np.asarray(h, dtype=float)
-    if np.any(h < 0):
-        raise ValueError("distances must be nonnegative")
-    out = np.exp(-h / params.phi)
-    return float(out) if out.ndim == 0 else out
+def exp_covariance(d, params: CovParams, cross: bool = False) -> np.ndarray:
+    """Exponential covariance sigma2 exp(-d / phi) from distances.
+
+    ``d`` holds the interdistances of one point set, whose covariance
+    carries the nugget on its diagonal; with ``cross`` it holds the
+    distances between two sets, whose covariance has no nugget.
+    """
+    c = params.sigma2 * np.exp(-d / params.phi)
+    if not cross:
+        c[np.diag_indices_from(c)] += params.nugget
+    return c
 
 
 def covariance_matrix(sites, mapping, params: CovParams) -> np.ndarray:
     """Deformed-exponential covariance matrix of the given sites.
 
     ``mapping`` is any callable taking (n, 2) points to (n, 2) deformed
-    points (a DeformationMap or an analytic truth map).  The nugget
-    enters the diagonal only.
+    points (a DeformationMap or an analytic truth map).
     """
-    pts = np.asarray(sites, dtype=float)
-    y = np.asarray(mapping(pts), dtype=float)
-    d = cdist(y, y)
-    c = params.sigma2 * np.exp(-d / params.phi)
-    c[np.diag_indices_from(c)] += params.nugget
-    return c
+    y = np.asarray(mapping(np.asarray(sites, dtype=float)), dtype=float)
+    return exp_covariance(cdist(y, y), params)
+
+
+def factor_covariance(c: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Lower Cholesky factor in ``scipy.linalg.cho_factor`` form, raising
+    NumericalError when the matrix is not positive definite."""
+    try:
+        return cho_factor(c, lower=True)
+    except np.linalg.LinAlgError as e:
+        raise NumericalError(f"covariance matrix is not positive definite: {e}") from None
 
 
 def cholesky_or_raise(c: np.ndarray) -> np.ndarray:

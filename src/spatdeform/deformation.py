@@ -13,22 +13,17 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sps
 
-from .basis import KnotGrid, cell_and_local, design_matrix, eval_basis, eval_basis_deriv
+from .basis import KnotGrid, design_matrix
 
 __all__ = [
     "CoefPair",
     "DeformationMap",
+    "affine_coef",
     "identity_coef",
-    "eval_map",
+    "fitted_coords",
     "eval_map_points",
-    "jacobian_det",
-    "cell_jacobian",
-    "assemble_A",
     "corner_values",
-    "corner_constraints",
-    "CornerConstraint",
     "min_jacobian",
     "default_epsilon",
     "transform_coef",
@@ -88,90 +83,32 @@ class DeformationMap:
         return eval_map_points(self, sites)
 
 
+def affine_coef(grid: KnotGrid, beta: np.ndarray) -> CoefPair:
+    """Coefficients reproducing the affine map x -> beta[0] + beta[1:]' x
+    (the basis reproduces affine functions exactly)."""
+    g1, g2 = np.meshgrid(grid.knot_positions(1), grid.knot_positions(2), indexing="ij")
+    return CoefPair(*(beta[0, k] + beta[1, k] * g1 + beta[2, k] * g2 for k in range(2)))
+
+
 def identity_coef(grid: KnotGrid) -> CoefPair:
     """Coefficients reproducing the identity map (theta = knot position)."""
-    p1 = grid.knot_positions(1)
-    p2 = grid.knot_positions(2)
-    theta1 = np.tile(p1[:, None], (1, grid.k2))
-    theta2 = np.tile(p2[None, :], (grid.k1, 1))
-    return CoefPair(theta1, theta2)
+    return affine_coef(grid, np.vstack([np.zeros(2), np.eye(2)]))
+
+
+def fitted_coords(w, z: np.ndarray) -> np.ndarray:
+    """Deformed coordinates (W v1, W v2) of the points whose design rows
+    are ``w``, from the stacked coefficients z = (v1, v2).
+
+    The one evaluator of fitted coordinates: callers pass the dense
+    design, so every path agrees to the last bit.
+    """
+    m = w.shape[1]
+    return np.column_stack([w @ z[:m], w @ z[m:]])
 
 
 def eval_map_points(dmap: DeformationMap, sites) -> np.ndarray:
     """Map an (n, 2) array of points through the deformation."""
-    w = design_matrix(dmap.grid, sites)
-    y1 = w @ dmap.coef.theta1.ravel(order="F")
-    y2 = w @ dmap.coef.theta2.ravel(order="F")
-    return np.column_stack([y1, y2])
-
-
-def eval_map(dmap: DeformationMap, x) -> np.ndarray:
-    """Map a single point, returned as shape (2,)."""
-    return eval_map_points(dmap, np.asarray(x, dtype=float).reshape(1, 2))[0]
-
-
-def _cell_edge_diffs(theta: np.ndarray, ci: int, cj: int):
-    """Edge differences of the 2 x 2 coefficient block of one cell."""
-    b = theta[ci : ci + 2, cj : cj + 2]
-    du_bottom = b[1, 0] - b[0, 0]
-    du_top = b[1, 1] - b[0, 1]
-    dv_left = b[0, 1] - b[0, 0]
-    dv_right = b[1, 1] - b[1, 0]
-    return du_bottom, du_top, dv_left, dv_right
-
-
-def cell_jacobian(dmap: DeformationMap, ci: int, cj: int, u1, u2) -> np.ndarray:
-    """Jacobian determinant inside cell (ci, cj) at local coordinates.
-
-    Evaluates the within-cell limit, so corner and edge values belong to
-    the requested cell regardless of the global half-open convention.
-    ``u1`` and ``u2`` broadcast; each must lie in [0, 1].
-    """
-    grid = dmap.grid
-    u1 = np.asarray(u1, dtype=float)
-    u2 = np.asarray(u2, dtype=float)
-    a_b, a_t, a_l, a_r = _cell_edge_diffs(dmap.coef.theta1, ci, cj)
-    b_b, b_t, b_l, b_r = _cell_edge_diffs(dmap.coef.theta2, ci, cj)
-    d1f1 = a_b * (1.0 - u2) + a_t * u2
-    d2f1 = a_l * (1.0 - u1) + a_r * u1
-    d1f2 = b_b * (1.0 - u2) + b_t * u2
-    d2f2 = b_l * (1.0 - u1) + b_r * u1
-    return (d1f1 * d2f2 - d2f1 * d1f2) / (grid.tau1 * grid.tau2)
-
-
-def jacobian_det(dmap: DeformationMap, x) -> float:
-    """Jacobian determinant at a point (one-sided convention at knots)."""
-    x = np.asarray(x, dtype=float).reshape(2)
-    c1, u1 = cell_and_local(dmap.grid, 1, x[0])
-    c2, u2 = cell_and_local(dmap.grid, 2, x[1])
-    return float(cell_jacobian(dmap, int(c1[0]), int(c2[0]), u1[0], u2[0]))
-
-
-def assemble_A(grid: KnotGrid, x) -> sps.coo_matrix:
-    """Skew-symmetric matrix A(x) with |J| = vec(theta1)' A vec(theta2).
-
-    Built as the antisymmetrized outer product of the two
-    Kronecker-product derivative vectors; at most a 4 x 4 block is
-    nonzero (the bases active at x).
-    """
-    x = np.asarray(x, dtype=float).reshape(2)
-    b1 = eval_basis(grid, 1, x[0])
-    b2 = eval_basis(grid, 2, x[1])
-    b1p = eval_basis_deriv(grid, 1, x[0])
-    b2p = eval_basis_deriv(grid, 2, x[1])
-    u = np.kron(b2, b1p)
-    v = np.kron(b2p, b1)
-    iu = np.nonzero(u)[0]
-    iv = np.nonzero(v)[0]
-    rows = np.concatenate([np.repeat(iu, iv.size), np.repeat(iv, iu.size)])
-    cols = np.concatenate([np.tile(iv, iu.size), np.tile(iu, iv.size)])
-    vals = np.concatenate(
-        [np.outer(u[iu], v[iv]).ravel(), -np.outer(v[iv], u[iu]).ravel()]
-    )
-    m = grid.k1 * grid.k2
-    a = sps.coo_matrix((vals, (rows, cols)), shape=(m, m))
-    a.sum_duplicates()
-    return a
+    return fitted_coords(design_matrix(dmap.grid, sites).toarray(), coef_to_vec(dmap.coef))
 
 
 def corner_values(grid: KnotGrid, coef: CoefPair) -> np.ndarray:
@@ -186,37 +123,6 @@ def corner_values(grid: KnotGrid, coef: CoefPair) -> np.ndarray:
     vals, _ = _corner_values_and_jac(grid, coef_to_vec(coef), _corner_tables(grid),
                                      want_jac=False)
     return vals.reshape(grid.k1 - 1, grid.k2 - 1, 4)
-
-
-@dataclass(frozen=True)
-class CornerConstraint:
-    """One bilinear corner functional; positive value means locally
-    orientation-preserving at that corner."""
-
-    grid: KnotGrid
-    cell1: int
-    cell2: int
-    corner: tuple[int, int]
-
-    def __call__(self, coef: CoefPair) -> float:
-        s, t = self.corner
-        return float(cell_jacobian(DeformationMap(self.grid, coef), self.cell1, self.cell2, s, t))
-
-    @property
-    def knot_indices(self) -> tuple[int, int]:
-        """Knot pair (axis-1 knot, axis-2 knot) the corner sits on."""
-        return self.cell1 + self.corner[0], self.cell2 + self.corner[1]
-
-
-def corner_constraints(grid: KnotGrid) -> list[CornerConstraint]:
-    """All 4 (K1-1)(K2-1) corner functionals, row-major cells then
-    CORNER_ORDER, matching corner_values ravelled in C order."""
-    out = []
-    for ci in range(grid.k1 - 1):
-        for cj in range(grid.k2 - 1):
-            for corner in CORNER_ORDER:
-                out.append(CornerConstraint(grid, ci, cj, corner))
-    return out
 
 
 def min_jacobian(dmap: DeformationMap) -> float:

@@ -19,11 +19,12 @@ the generalized Fellner-Schall update (Wood & Fasiolo 2017).
 from __future__ import annotations
 
 import contextlib
+import functools
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, lapack, solve_triangular
+from scipy.linalg import lapack, solve_triangular
 from scipy.optimize import minimize
 from scipy.spatial.distance import cdist, pdist
 
@@ -32,6 +33,8 @@ from .covariance import (
     CovParams,
     DispersionMatrix,
     covariance_matrix,
+    exp_covariance,
+    factor_covariance,
     fit_variogram,
     sample_dispersions,
 )
@@ -43,6 +46,7 @@ from .deformation import (
     coef_to_vec,
     corner_values,
     default_epsilon,
+    fitted_coords,
     transform_coef,
     vec_to_coef,
 )
@@ -164,7 +168,8 @@ class DeformModel:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Knobs of the alternating fit."""
+    """Knobs of the alternating fit; a value out of range raises
+    DataError."""
 
     k1: int
     k2: int
@@ -172,10 +177,102 @@ class FitConfig:
     tol: float = 1e-6
     max_outer: int = 10
     ridge: float | None = None
-    seed: int = 0
-    sg_max_iter: int = 10
-    sg_tol: float = 1e-6
-    n_bins: int = 15
+
+    def __post_init__(self):
+        if not (self.k1 >= 2 and self.k2 >= 2):
+            raise DataError(f"basis counts must be >= 2, got K1={self.k1}, K2={self.k2}")
+        if self.epsilon is not None and not (np.isfinite(self.epsilon) and self.epsilon > 0):
+            raise DataError(f"corner margin epsilon must be finite and > 0, got {self.epsilon}")
+        if not self.tol >= 0:
+            raise DataError(f"tolerance must be >= 0, got {self.tol}")
+        if not self.max_outer >= 1:
+            raise DataError(f"max_outer must be >= 1, got {self.max_outer}")
+
+
+# the initialization's coordinate-update loop runs at most SG_MAX_ITER
+# passes and stops once the relative stress change falls below SG_TOL;
+# every variogram the fit makes pools the pairs into VARIOGRAM_BINS bins
+SG_MAX_ITER = 10
+SG_TOL = 1e-6
+VARIOGRAM_BINS = 15
+
+
+class _LikelihoodState:
+    """Gaussian log-likelihood of demeaned replicate columns ``zc`` under
+    one covariance matrix ``c``, factored once by ``factor_covariance``.
+
+    C^-1 is formed on first use, which only the gradient and the
+    information make.  They chain through the coordinates, their
+    interdistances and the covariance parameters, which a state built by
+    ``at`` holds.
+    """
+
+    def __init__(self, zc, c, y=None, d=None, cov=None):
+        self.zc, self.c, self.y, self.d, self.cov = zc, c, y, d, cov
+        self.lower = factor_covariance(c)[0]
+        self.logdet = 2.0 * float(np.sum(np.log(np.diag(self.lower))))
+
+    @classmethod
+    def at(cls, zc, y, cov: CovParams) -> "_LikelihoodState":
+        d = cdist(y, y)
+        return cls(zc, exp_covariance(d, cov), y, d, cov)
+
+    def _loglik(self, quad: float) -> float:
+        n, t = self.zc.shape
+        return -0.5 * (n * t * np.log(2.0 * np.pi) + t * self.logdet + quad)
+
+    @functools.cached_property
+    def value(self) -> float:
+        white = solve_triangular(self.lower, self.zc, lower=True, check_finite=False)
+        return self._loglik(float(np.sum(white * white)))
+
+    @functools.cached_property
+    def cinv(self) -> np.ndarray:
+        # LAPACK potri: about a third of the work of solving against I
+        inv = lapack.dpotri(self.lower, lower=1)[0]
+        return np.tril(inv) + np.tril(inv, -1).T
+
+    def value_and_coord_grad(self) -> tuple[float, np.ndarray]:
+        """The log-likelihood read from C^-1 Z, and its (n, 2) gradient in
+        the coordinates."""
+        cinv_z = self.cinv @ self.zc
+        ll = self._loglik(float(np.sum(self.zc * cinv_z)))
+        # d ll / dC, then chain through C_ij = sigma2 exp(-D_ij/phi) off
+        # the diagonal and D_ij = |y_i - y_j|
+        dldc = 0.5 * (cinv_z @ cinv_z.T - self.zc.shape[1] * self.cinv)
+        dldd = -(1.0 / self.cov.phi) * dldc * self.c
+        np.fill_diagonal(dldd, 0.0)
+        d, y = self.d, self.y
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(d > 0, 2.0 * dldd / np.where(d > 0, d, 1.0), 0.0)
+        return ll, ratio.sum(axis=1)[:, None] * y - ratio @ y
+
+    def coef_information(self, w: np.ndarray) -> np.ndarray:
+        """Expected information of the stacked coefficients whose dense
+        design at the sites is ``w``.
+
+        Entry (p, q) is (t/2) tr(Ch dC/dz_p Ch dC/dz_q) with Ch = C^-1.  It
+        is assembled per component pair (k, l) as (t/2) W' X W with
+        X = (R_k Ch) o (R_l Ch)' - Ch o (R_k Ch R_l) - Ch o (R_l Ch R_k)'
+        + (Ch R_l) o (Ch R_k)', where R_k[i, j] = dC_ij / dy_ik is the
+        antisymmetric derivative kernel of component k, so the 2 K1 K2
+        derivative matrices are never formed.
+        """
+        d, y, cinv = self.d, self.y, self.cinv
+        safe = np.where(d > 0, d, 1.0)
+        r = [np.where(d > 0, -(self.c / self.cov.phi) * (y[:, k, None] - y[None, :, k]) / safe,
+                      0.0) for k in range(2)]
+        rc = [rk @ cinv for rk in r]
+        cr = [cinv @ rk for rk in r]
+        m = w.shape[1]
+        info = np.empty((2 * m, 2 * m))
+        for k in range(2):
+            for l in range(2):
+                x = (rc[k] * rc[l].T - cinv * (rc[k] @ r[l])
+                     - cinv * (rc[l] @ r[k]).T + cr[l] * cr[k].T)
+                info[k * m:(k + 1) * m, l * m:(l + 1) * m] = \
+                    0.5 * self.zc.shape[1] * (w.T @ x @ w)
+        return info
 
 
 def replicate_loglik(replicates, cov_matrix) -> float:
@@ -185,45 +282,14 @@ def replicate_loglik(replicates, cov_matrix) -> float:
     out), so the quadratic form uses the (T-1)/T-scaled sample
     covariance.  Computed through one Cholesky factorization.
     """
-    z = np.asarray(replicates, dtype=float)
-    z = np.atleast_2d(z)
-    zc = z - z.mean(axis=1, keepdims=True)
-    n, t = zc.shape
-    try:
-        factor = cho_factor(cov_matrix, lower=True)
-    except np.linalg.LinAlgError as e:
-        raise NumericalError(f"covariance matrix is not positive definite: {e}") from None
-    logdet = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
-    white = solve_triangular(factor[0], zc, lower=True, check_finite=False)
-    return -0.5 * (n * t * np.log(2.0 * np.pi) + t * logdet + float(np.sum(white * white)))
+    z = np.atleast_2d(np.asarray(replicates, dtype=float))
+    return _LikelihoodState(z - z.mean(axis=1, keepdims=True), cov_matrix).value
 
 
 def loglik(dataset: Dataset, mapping, cov: CovParams) -> float:
     """Replicate log-likelihood of a dataset under a deformation model."""
     c = covariance_matrix(dataset.sites, mapping, cov)
     return replicate_loglik(dataset.replicates, c)
-
-
-def _exp_cov(d: np.ndarray, cov: CovParams) -> tuple[np.ndarray, np.ndarray]:
-    """Exponential part and full covariance matrix from interdistances."""
-    expo = cov.sigma2 * np.exp(-d / cov.phi)
-    c = expo.copy()
-    c[np.diag_indices_from(c)] += cov.nugget
-    return expo, c
-
-
-def _cho_inverse(lower: np.ndarray) -> np.ndarray:
-    """Inverse of a positive-definite matrix from its lower Cholesky
-    factor (LAPACK potri: about a third of the work of solving against
-    the identity)."""
-    inv, info = lapack.dpotri(lower, lower=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"potri failed with info {info}")
-    return np.tril(inv) + np.tril(inv, -1).T
-
-
-def _loglik_from_distances(zc: np.ndarray, d: np.ndarray, cov: CovParams) -> float:
-    return replicate_loglik(zc, _exp_cov(d, cov)[1])
 
 
 def step_cov(dataset: Dataset, mapping, cov_init: CovParams) -> CovParams:
@@ -238,8 +304,7 @@ def step_cov(dataset: Dataset, mapping, cov_init: CovParams) -> CovParams:
     diam = float(d.max())
     if diam <= 0:
         raise FitError("mapped sites are coincident; cannot estimate a range")
-    z = dataset.replicates
-    v = float(np.mean(np.var(z, axis=1, ddof=1)))
+    v = float(np.mean(np.var(dataset.replicates, axis=1, ddof=1)))
     if v <= 0:
         raise FitError("replicates are constant; cannot estimate a variance")
     bounds = [
@@ -247,27 +312,24 @@ def step_cov(dataset: Dataset, mapping, cov_init: CovParams) -> CovParams:
         (1e-4 * diam, 10.0 * diam),
         (0.0, 1e3 * v),
     ]
+    zc = dataset.demeaned()
 
     def objective(p):
         try:
-            return -_loglik_from_distances(z, d, CovParams(*p))
+            return -_LikelihoodState(zc, exp_covariance(d, CovParams(*p))).value
         except (NumericalError, ValueError):
             return 1e300
 
-    def clipped(cov):
-        p = np.array([cov.sigma2, cov.phi, cov.nugget])
-        return np.clip(p, [b[0] for b in bounds], [b[1] for b in bounds])
-
-    starts = [clipped(cov_init), np.array([0.5 * v, 0.25 * diam, 0.5 * v])]
-    f_init = objective(clipped(cov_init))
-    candidates = [(f_init, clipped(cov_init))]
-    for x0 in starts:
+    p_init = np.clip([cov_init.sigma2, cov_init.phi, cov_init.nugget], *np.array(bounds).T)
+    f_init = objective(p_init)
+    candidates = [(f_init, p_init)]
+    for x0 in (p_init, np.array([0.5 * v, 0.25 * diam, 0.5 * v])):
         res = minimize(objective, x0, method="L-BFGS-B", bounds=bounds)
         candidates.append((res.fun, res.x))
     fbest, pbest = min(candidates, key=lambda c: c[0])
     if not np.isfinite(fbest):
         raise NumericalError("likelihood is not finite anywhere in the search box")
-    if fbest >= f_init and not np.allclose(pbest, clipped(cov_init)):
+    if fbest >= f_init and not np.allclose(pbest, p_init):
         warnings.warn(
             "covariance step could not improve on the incumbent parameters",
             RuntimeWarning,
@@ -337,94 +399,61 @@ class SmoothnessPenalty:
         return (self.q0 / spread) * np.kron(np.eye(2), self.s)
 
 
-def _fitted(w: np.ndarray, z: np.ndarray) -> np.ndarray:
-    m = w.shape[1]
-    return np.column_stack([w @ z[:m], w @ z[m:]])
+class _CoefObjective:
+    """Negative penalized log-likelihood over the stacked coefficients.
+
+    ``f(z, want_grad=True) -> (value, gradient)`` is ``-loglik(z) + lam /
+    2 * penalty(z)`` at fixed covariance parameters, the plain negative
+    log-likelihood when ``lam == 0``.  With ``want_grad=False`` the
+    gradient is None and the value costs one factorization and one
+    triangular solve.  Non-positive-definite covariances give 1e300.  The
+    state of the last point is kept, so the gradient or information asked
+    for there (SLSQP asks for the gradient where it took its last value)
+    reuses its factorization.
+    """
+
+    def __init__(self, dataset: Dataset, cov: CovParams, grid: KnotGrid, lam: float):
+        self.zc = dataset.demeaned()
+        self.w = design_matrix(grid, dataset.sites).toarray()
+        self.cov, self.lam = cov, lam
+        self.penalty = SmoothnessPenalty.for_sites(grid, dataset.sites) if lam > 0 else None
+        self._z, self._state = None, None
+
+    def state(self, z: np.ndarray) -> _LikelihoodState:
+        if self._z is None or not np.array_equal(z, self._z):
+            self._state = _LikelihoodState.at(self.zc, fitted_coords(self.w, z), self.cov)
+            self._z = np.array(z, dtype=float)
+        return self._state
+
+    def information(self, z: np.ndarray) -> np.ndarray:
+        return self.state(z).coef_information(self.w)
+
+    def __call__(self, z: np.ndarray, want_grad: bool = True):
+        try:
+            state = self.state(z)
+        except NumericalError:
+            return 1e300, (np.zeros(z.size) if want_grad else None)
+        pen = self.penalty.value_and_grad(z) if self.lam > 0 else (0.0, 0.0)
+        if not want_grad:
+            return -state.value + 0.5 * self.lam * pen[0], None
+        ll, grad_y = state.value_and_coord_grad()
+        grad_z = np.concatenate([self.w.T @ grad_y[:, 0], self.w.T @ grad_y[:, 1]])
+        if self.lam > 0:
+            return -ll + 0.5 * self.lam * pen[0], -grad_z + 0.5 * self.lam * pen[1]
+        return -ll, -grad_z
 
 
 def coef_objective(dataset: Dataset, cov: CovParams, grid: KnotGrid, lam: float = 0.0):
-    """Negative penalized log-likelihood over the stacked coefficients.
-
-    Returns ``f(z, want_grad=True) -> (value, gradient)`` for
-    ``-loglik(z) + lam / 2 * penalty(z)`` at fixed covariance
-    parameters; with ``lam == 0`` it is the plain negative
-    log-likelihood.  With ``want_grad=False`` the gradient is None and
-    the value costs one factorization and one triangular solve.
-    Non-positive-definite covariances give 1e300.
-    """
-    zc = dataset.demeaned()
-    n, t = zc.shape
-    w = design_matrix(grid, dataset.sites).toarray()
-    if lam > 0:
-        penalty = SmoothnessPenalty.for_sites(grid, dataset.sites)
-
-    def negloglik_and_grad(z, want_grad=True):
-        y = _fitted(w, z)
-        d = cdist(y, y)
-        expo, c = _exp_cov(d, cov)
-        pen = penalty.value_and_grad(z) if lam > 0 else (0.0, 0.0)
-        if not want_grad:
-            try:
-                return -replicate_loglik(zc, c) + 0.5 * lam * pen[0], None
-            except NumericalError:
-                return 1e300, None
-        try:
-            factor = cho_factor(c, lower=True)
-        except np.linalg.LinAlgError:
-            return 1e300, np.zeros(z.size)
-        logdet = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
-        cinv = _cho_inverse(factor[0])
-        cinv_z = cinv @ zc
-        ll = -0.5 * (n * t * np.log(2.0 * np.pi) + t * logdet + float(np.sum(zc * cinv_z)))
-        # d ll / dC, then chain through C = sigma2 exp(-D/phi) and
-        # D_ij = |y_i - y_j|
-        dldc = 0.5 * (cinv_z @ cinv_z.T - t * cinv)
-        dldd = -(1.0 / cov.phi) * dldc * expo
-        np.fill_diagonal(dldd, 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(d > 0, 2.0 * dldd / np.where(d > 0, d, 1.0), 0.0)
-        grad_y = ratio.sum(axis=1)[:, None] * y - ratio @ y
-        grad_z = np.concatenate([w.T @ grad_y[:, 0], w.T @ grad_y[:, 1]])
-        if lam > 0:
-            return -ll + 0.5 * lam * pen[0], -grad_z + 0.5 * lam * pen[1]
-        return -ll, -grad_z
-
-    return negloglik_and_grad
+    """The negative penalized log-likelihood of ``_CoefObjective``."""
+    return _CoefObjective(dataset, cov, grid, lam)
 
 
 def coef_fisher_information(dataset: Dataset, cov: CovParams, grid: KnotGrid,
                             coef: CoefPair) -> np.ndarray:
     """Expected information of the replicate likelihood for the stacked
-    coefficient vector, at fixed covariance parameters.
-
-    Entry (p, q) is (t/2) tr(Ch dC/dz_p Ch dC/dz_q) with Ch = C^-1.  It
-    is assembled per component pair (k, l) as (t/2) W' X W with
-    X = (R_k Ch) o (R_l Ch)' - Ch o (R_k Ch R_l) - Ch o (R_l Ch R_k)'
-    + (Ch R_l) o (Ch R_k)', where R_k[i, j] = dC_ij / dy_ik is the
-    antisymmetric derivative kernel of component k, so the 2 K1 K2
-    derivative matrices are never formed.
-    """
-    w = design_matrix(grid, dataset.sites).toarray()
-    y = _fitted(w, coef_to_vec(coef))
-    d = cdist(y, y)
-    expo, c = _exp_cov(d, cov)
-    try:
-        cinv = _cho_inverse(cho_factor(c, lower=True)[0])
-    except np.linalg.LinAlgError as e:
-        raise NumericalError(f"covariance matrix is not positive definite: {e}") from None
-    safe = np.where(d > 0, d, 1.0)
-    r = [np.where(d > 0, -(expo / cov.phi) * (y[:, k, None] - y[None, :, k]) / safe, 0.0)
-         for k in range(2)]
-    rc = [rk @ cinv for rk in r]
-    cr = [cinv @ rk for rk in r]
-    m = w.shape[1]
-    info = np.empty((2 * m, 2 * m))
-    for k in range(2):
-        for l in range(2):
-            x = (rc[k] * rc[l].T - cinv * (rc[k] @ r[l])
-                 - cinv * (rc[l] @ r[k]).T + cr[l] * cr[k].T)
-            info[k * m:(k + 1) * m, l * m:(l + 1) * m] = 0.5 * dataset.t * (w.T @ x @ w)
-    return info
+    coefficient vector, at fixed covariance parameters (see
+    ``_LikelihoodState.coef_information``)."""
+    return coef_objective(dataset, cov, grid).information(coef_to_vec(coef))
 
 
 # the weight update may move at most this factor away from its single
@@ -530,22 +559,17 @@ def refine_coords_ml(
     """
     tables = _corner_tables(grid)
     evaluate = coef_objective(dataset, cov, grid, lam)
-    last = {"z": None, "f": None}
 
     def value(z):
-        # most points SLSQP visits are line-search trials that need no
-        # gradient; it evaluates the constraints at the same points, so
-        # the best-iterate bookkeeping reuses the last value
-        if last["z"] is None or not np.array_equal(z, last["z"]):
-            last["z"], last["f"] = np.array(z, dtype=float), evaluate(z, want_grad=False)[0]
-        return last["f"]
+        # most points SLSQP visits are line-search trials that need no gradient
+        return evaluate(z, want_grad=False)[0]
 
     z0 = coef_to_vec(coef)
     best = {"z": z0.copy(), "f": value(z0)}
 
-    metric = coef_fisher_information(dataset, cov, grid, coef)
+    metric = evaluate.information(z0)
     if lam > 0:
-        metric += lam * SmoothnessPenalty.for_sites(grid, dataset.sites).matrix(z0)
+        metric += lam * evaluate.penalty.matrix(z0)
     beta, v = np.linalg.eigh(metric)
     scale = v / np.sqrt(np.maximum(beta, PRECONDITION_FLOOR * beta.max()))
 
@@ -574,17 +598,15 @@ def refine_coords_ml(
         options={"maxiter": max_iter, "ftol": 1e-10},
     )
     if not res.success:
+        # SLSQP's exit mode 9 is its iteration limit
+        limit = f", iteration limit ({max_iter})" if res.status == 9 else ""
         warnings.warn(
-            f"likelihood ascent did not succeed after {res.nit} iterations, "
-            f"iteration limit ({max_iter}): {res.message}; "
-            "returning the best feasible iterate",
+            f"likelihood ascent did not succeed after {res.nit} iterations{limit}: "
+            f"{res.message}; returning the best feasible iterate",
             RuntimeWarning,
             stacklevel=2,
         )
-    z_res = to_z(res.x)
-    vals, _ = _corner_values_and_jac(grid, z_res, tables, want_jac=False)
-    if vals.min() >= epsilon - 1e-9 and value(z_res) < best["f"]:
-        best = {"z": z_res, "f": value(z_res)}
+    constraint_fun(res.x)  # keeps the solver's answer if it is the best feasible point
     return vec_to_coef(grid, best["z"], validated=True)
 
 
@@ -611,11 +633,11 @@ def _grid_from_sites(sites: np.ndarray, k1: int, k2: int) -> KnotGrid:
 
 
 def _initial_cov(dataset: Dataset, fitted: np.ndarray,
-                 dispersions: DispersionMatrix, n_bins: int) -> CovParams:
+                 dispersions: DispersionMatrix) -> CovParams:
     v = float(np.mean(np.var(dataset.replicates, axis=1, ddof=1)))
     diam = float(pdist(fitted).max())
     try:
-        g = fit_variogram(pdist(fitted), dispersions.upper(), n_bins=n_bins)
+        g = fit_variogram(pdist(fitted), dispersions.upper(), n_bins=VARIOGRAM_BINS)
         return CovParams(
             sigma2=max(0.5 * g.psill, 1e-4 * v),
             phi=min(max(g.range_, 1e-4 * diam), 10.0 * diam),
@@ -700,10 +722,8 @@ def fit(dataset: Dataset, config: FitConfig) -> DeformModel:
     smoother = make_bspline_smoother(grid, epsilon=epsilon, ridge=config.ridge)
     try:
         with _noted_warnings(diag.messages, "pass 0"):
-            init_config = sg_initialize(
-                d2, dataset.sites, smoother,
-                max_iter=config.sg_max_iter, tol=config.sg_tol, n_bins=config.n_bins,
-            )
+            init_config = sg_initialize(d2, dataset.sites, smoother, max_iter=SG_MAX_ITER,
+                                        tol=SG_TOL, n_bins=VARIOGRAM_BINS)
         diag.init_stress = configuration_stress(d2, init_config)
         coef = _feasible_start(grid, dataset.sites, init_config.points, epsilon)
     except InfeasibilityError:
@@ -711,14 +731,13 @@ def fit(dataset: Dataset, config: FitConfig) -> DeformModel:
     except SpatdeformError as e:
         raise FitError(f"initialization failed: {e}") from e
 
-    w = design_matrix(grid, dataset.sites)
     penalty = SmoothnessPenalty.for_sites(grid, dataset.sites)
     lam = 0.0
 
     def roughness(c):
         return 0.5 * lam * penalty.value_and_grad(coef_to_vec(c))[0] if lam > 0 else 0.0
 
-    cov = _initial_cov(dataset, _fitted(w, coef_to_vec(coef)), d2, config.n_bins)
+    cov = _initial_cov(dataset, DeformationMap(grid, coef)(dataset.sites), d2)
     prev_pll = loglik(dataset, DeformationMap(grid, coef), cov)
     centre = dataset.sites.mean(axis=0)
     # (loglik, coef, cov, pass) of the iterate with the highest penalized
@@ -733,9 +752,11 @@ def fit(dataset: Dataset, config: FitConfig) -> DeformModel:
             dmap, gauge = normalize_gauge(DeformationMap(grid, coef), dataset.sites)
             coef = dmap.coef
             cov = CovParams(cov.sigma2, cov.phi * gauge.scale, cov.nugget)
-            ll = loglik(dataset, dmap, cov)
+            # the pass's loglik and the information come from one state
+            ends, z = coef_objective(dataset, cov, grid), coef_to_vec(coef)
+            ll = ends.state(z).value
             pll = ll - roughness(coef)
-            info = coef_fisher_information(dataset, cov, grid, coef)
+            info = ends.information(z)
         except InfeasibilityError:
             raise
         except SpatdeformError as e:

@@ -1,7 +1,7 @@
 """Gaussian random fields under a deformed covariance, and prediction.
 
-Provides the analytic truth maps used by the simulation harness (the
-identity and an area-preserving vortex), replicate simulation through
+Provides the analytic truth map used by the simulation harness (an
+area-preserving vortex), replicate simulation through
 the Cholesky factor, and simple Kriging with conditional simulation for
 a fitted deformation model.
 """
@@ -11,30 +11,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_solve
 from scipy.spatial.distance import cdist
 
-from .covariance import CovParams, cholesky_or_raise, covariance_matrix
-from .deformation import DeformationMap
+from .covariance import (
+    CovParams,
+    cholesky_or_raise,
+    covariance_matrix,
+    exp_covariance,
+    factor_covariance,
+)
 from .errors import NumericalError
 
 __all__ = [
-    "IdentityMap",
     "Swirl",
     "simulate_grf",
     "krige",
     "conditional_simulate",
     "KrigeResult",
 ]
-
-
-@dataclass(frozen=True)
-class IdentityMap:
-    """Truth map of a stationary field: deformed plane equals the
-    geographic plane."""
-
-    def __call__(self, points) -> np.ndarray:
-        return np.array(points, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -95,20 +90,11 @@ class KrigeResult:
 
 
 def _kriging_system(model, sites, values, pred_sites):
-    from .estimation import DeformModel  # local import to avoid a cycle
-
-    assert isinstance(model, DeformModel)
-    dmap = DeformationMap(model.grid, model.coef)
+    dmap = model.mapping()
     y = dmap(sites)
     yp = dmap(pred_sites)
-    cov = model.cov
-    c = cov.sigma2 * np.exp(-cdist(y, y) / cov.phi)
-    c[np.diag_indices_from(c)] += cov.nugget
-    cross = cov.sigma2 * np.exp(-cdist(y, yp) / cov.phi)
-    try:
-        factor = cho_factor(c, lower=True)
-    except np.linalg.LinAlgError as e:
-        raise NumericalError(f"kriging system is singular: {e}") from None
+    factor = factor_covariance(exp_covariance(cdist(y, y), model.cov))
+    cross = exp_covariance(cdist(y, yp), model.cov, cross=True)
     z = np.asarray(values, dtype=float).ravel()
     if z.shape[0] != y.shape[0]:
         raise ValueError(f"expected {y.shape[0]} observed values, got {z.shape[0]}")
@@ -116,7 +102,7 @@ def _kriging_system(model, sites, values, pred_sites):
     alpha = cho_solve(factor, resid, check_finite=False)
     cross_solved = cho_solve(factor, cross, check_finite=False)
     mean = model.mean + cross.T @ alpha
-    return yp, c, cross, cross_solved, mean
+    return yp, cross, cross_solved, mean
 
 
 def krige(model, sites, values, pred_sites) -> KrigeResult:
@@ -126,7 +112,7 @@ def krige(model, sites, values, pred_sites) -> KrigeResult:
     data covariance but not the cross-covariances, so predictions target
     the noise-free field value plus a nugget term in the variance.
     """
-    _, _, cross, cross_solved, mean = _kriging_system(model, sites, values, pred_sites)
+    _, cross, cross_solved, mean = _kriging_system(model, sites, values, pred_sites)
     total = model.cov.sigma2 + model.cov.nugget
     var = total - np.sum(cross * cross_solved, axis=0)
     if np.any(var < -1e-10):
@@ -144,11 +130,8 @@ def conditional_simulate(model, sites, values, pred_sites, n_draws: int, seed: i
     """
     if n_draws < 1:
         raise ValueError(f"need at least one draw, got {n_draws}")
-    yp, _, cross, cross_solved, mean = _kriging_system(model, sites, values, pred_sites)
-    cov = model.cov
-    cpp = cov.sigma2 * np.exp(-cdist(yp, yp) / cov.phi)
-    cpp[np.diag_indices_from(cpp)] += cov.nugget
-    cond = cpp - cross.T @ cross_solved
+    yp, cross, cross_solved, mean = _kriging_system(model, sites, values, pred_sites)
+    cond = exp_covariance(cdist(yp, yp), model.cov) - cross.T @ cross_solved
     cond = 0.5 * (cond + cond.T)
     vals, vecs = np.linalg.eigh(cond)
     scale = max(abs(vals).max(), 1.0)

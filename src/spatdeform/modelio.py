@@ -9,6 +9,7 @@ stations.  All CSV output renders floats with 17 significant digits.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
@@ -30,17 +31,20 @@ __all__ = [
     "read_grid_csv",
     "write_prediction_csv",
     "write_deformed_grid_csv",
+    "write_map_csv",
+    "write_csv",
     "read_config",
     "fmt",
 ]
 
 SCHEMA_VERSION = 1
+DOMAIN_KEYS = ("x1_min", "x1_max", "x2_min", "x2_max")
+# FitDiagnostics fields that the model file stores under another name
+DIAGNOSTICS_KEYS = {"margins": "constraint_margins"}
 DATA_HEADER = ["station_id", "x1", "x2", "time", "value"]
 
 # config keys accepted by the simulate/compare harnesses and the fit
 CONFIG_KEYS = {
-    "k1": int,
-    "k2": int,
     "epsilon": float,
     "tol": float,
     "max_outer": int,
@@ -61,17 +65,19 @@ def fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def write_csv(path, header, rows) -> None:
+    """Write a header and rows, every float rendered by ``fmt``."""
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([fmt(v) if isinstance(v, float) else v for v in row] for row in rows)
+
+
 def save_model(model: DeformModel, path) -> None:
     """Write a fitted model as versioned JSON (row-major arrays)."""
-    d = model.diagnostics
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "domain": {
-            "x1_min": model.grid.x1_min,
-            "x1_max": model.grid.x1_max,
-            "x2_min": model.grid.x2_min,
-            "x2_max": model.grid.x2_max,
-        },
+        "domain": {k: getattr(model.grid, k) for k in DOMAIN_KEYS},
         "k1": model.grid.k1,
         "k2": model.grid.k2,
         "theta1": model.coef.theta1.tolist(),
@@ -80,16 +86,8 @@ def save_model(model: DeformModel, path) -> None:
         "phi": model.cov.phi,
         "nugget": model.cov.nugget,
         "mean": model.mean,
-        "diagnostics": {
-            "loglik": list(d.loglik),
-            "constraint_margins": list(d.margins),
-            "init_stress": d.init_stress,
-            "iterations": d.iterations,
-            "converged": d.converged,
-            "messages": list(d.messages),
-            "penalty_weights": list(d.penalty_weights),
-            "effective_dof": d.effective_dof,
-        },
+        "diagnostics": {DIAGNOSTICS_KEYS.get(k, k): v
+                        for k, v in dataclasses.asdict(model.diagnostics).items()},
     }
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
@@ -106,11 +104,7 @@ def load_model(path) -> DeformModel:
             f"unsupported model schema version {version!r} (expected {SCHEMA_VERSION})"
         )
     try:
-        dom = payload["domain"]
-        grid = KnotGrid(
-            dom["x1_min"], dom["x1_max"], dom["x2_min"], dom["x2_max"],
-            payload["k1"], payload["k2"],
-        )
+        grid = KnotGrid(*(payload["domain"][k] for k in DOMAIN_KEYS), payload["k1"], payload["k2"])
         coef = CoefPair(
             np.array(payload["theta1"], dtype=float),
             np.array(payload["theta2"], dtype=float),
@@ -134,6 +128,28 @@ def load_model(path) -> DeformModel:
         raise DataError(f"malformed model file {path}: {e}") from None
 
 
+def _csv_rows(path, header: list[str], kind: str):
+    """Yield (line number, stripped fields) for every nonblank row of a
+    CSV file that must start with ``header``."""
+    path = Path(path)
+    if not path.exists():
+        raise DataError(f"{kind} file {path} does not exist")
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first is None:
+            raise DataError(f"{path}: empty file")
+        if [h.strip() for h in first] != header:
+            raise DataError(f"{path}: header must be {','.join(header)}, got {','.join(first)}")
+        for line_no, row in enumerate(reader, start=2):
+            fields = [f.strip() for f in row]
+            if not any(fields):
+                continue
+            if len(fields) != len(header):
+                raise DataError(f"line {line_no}: expected {len(header)} fields, got {len(row)}")
+            yield line_no, fields
+
+
 def _parse_float(text: str, line_no: int, column: str) -> float:
     try:
         return float(text)
@@ -151,51 +167,34 @@ def ingest(path) -> Dataset:
     values may be spelled as an empty field or ``nan``; they drop the
     station through the complete-case rule.
     """
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"data file {path} does not exist")
     coords: dict[str, tuple[float, float]] = {}
     values: dict[str, dict[str, float]] = {}
     times: list[str] = []
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        if [h.strip() for h in header] != DATA_HEADER:
-            raise DataError(
-                f"{path}: header must be {','.join(DATA_HEADER)}, got {','.join(header)}"
-            )
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not f.strip() for f in row):
-                continue
-            if len(row) != 5:
-                raise DataError(f"line {line_no}: expected 5 fields, got {len(row)}")
-            sid, x1s, x2s, time_label, value_s = (f.strip() for f in row)
-            if not sid or not time_label:
-                raise DataError(f"line {line_no}: empty station id or time label")
-            x1 = _parse_float(x1s, line_no, "x1")
-            x2 = _parse_float(x2s, line_no, "x2")
-            if sid in coords:
-                if coords[sid] != (x1, x2):
-                    raise DataError(
-                        f"line {line_no}: station {sid!r} reappears with different coordinates"
-                    )
-            else:
-                coords[sid] = (x1, x2)
-                values[sid] = {}
-            if time_label in values[sid]:
-                raise DataError(f"line {line_no}: duplicate (station, time) pair "
-                                f"({sid!r}, {time_label!r})")
-            if time_label not in times:
-                times.append(time_label)
-            if value_s == "" or value_s.lower() == "nan":
-                value = float("nan")
-            else:
-                value = _parse_float(value_s, line_no, "value")
-            values[sid][time_label] = value
+    for line_no, (sid, x1s, x2s, time_label, value_s) in _csv_rows(path, DATA_HEADER, "data"):
+        if not sid or not time_label:
+            raise DataError(f"line {line_no}: empty station id or time label")
+        x1 = _parse_float(x1s, line_no, "x1")
+        x2 = _parse_float(x2s, line_no, "x2")
+        if sid in coords:
+            if coords[sid] != (x1, x2):
+                raise DataError(
+                    f"line {line_no}: station {sid!r} reappears with different coordinates"
+                )
+        else:
+            coords[sid] = (x1, x2)
+            values[sid] = {}
+        if time_label in values[sid]:
+            raise DataError(f"line {line_no}: duplicate (station, time) pair "
+                            f"({sid!r}, {time_label!r})")
+        if time_label not in times:
+            times.append(time_label)
+        if value_s == "" or value_s.lower() == "nan":
+            value = float("nan")
+        else:
+            value = _parse_float(value_s, line_no, "value")
+        values[sid][time_label] = value
 
+    path = Path(path)
     times = sorted(times)
     if len(times) < 2:
         raise DataError(f"{path}: need at least 2 time periods, found {len(times)}")
@@ -223,48 +222,27 @@ def write_long_csv(path, sites, ids, times, values) -> None:
     """Write observations in the long format understood by ingest."""
     sites = np.asarray(sites, dtype=float)
     values = np.asarray(values, dtype=float)
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(DATA_HEADER)
-        for i, sid in enumerate(ids):
-            for j, t in enumerate(times):
-                writer.writerow([sid, fmt(sites[i, 0]), fmt(sites[i, 1]), t,
-                                 fmt(values[i, j])])
+    write_csv(path, DATA_HEADER, ([sid, *sites[i], t, values[i, j]]
+                                  for i, sid in enumerate(ids) for j, t in enumerate(times)))
 
 
 def read_grid_csv(path) -> np.ndarray:
     """Read prediction sites from a CSV with header x1,x2."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"grid file {path} does not exist")
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        if [h.strip() for h in header] != ["x1", "x2"]:
-            raise DataError(f"{path}: header must be x1,x2")
-        pts = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not f.strip() for f in row):
-                continue
-            if len(row) != 2:
-                raise DataError(f"line {line_no}: expected 2 fields, got {len(row)}")
-            pts.append([_parse_float(row[0], line_no, "x1"),
-                        _parse_float(row[1], line_no, "x2")])
+    pts = [[_parse_float(a, line_no, "x1"), _parse_float(b, line_no, "x2")]
+           for line_no, (a, b) in _csv_rows(path, ["x1", "x2"], "grid")]
     if not pts:
         raise DataError(f"{path}: no prediction sites")
     return np.array(pts)
 
 
 def write_prediction_csv(path, pred_sites, mean, variance) -> None:
-    pred_sites = np.asarray(pred_sites, dtype=float)
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x1", "x2", "mean", "variance"])
-        for p, m, v in zip(pred_sites, mean, variance):
-            writer.writerow([fmt(p[0]), fmt(p[1]), fmt(m), fmt(v)])
+    write_csv(path, ["x1", "x2", "mean", "variance"],
+              np.column_stack([pred_sites, mean, variance]).tolist())
+
+
+def write_map_csv(path, points, images) -> None:
+    """Geographic points and their deformed images."""
+    write_csv(path, ["gx1", "gx2", "dx1", "dx2"], np.hstack([points, images]).tolist())
 
 
 def write_deformed_grid_csv(path, dmap: DeformationMap, n_side: int = 21) -> None:
@@ -274,12 +252,7 @@ def write_deformed_grid_csv(path, dmap: DeformationMap, n_side: int = 21) -> Non
     g2 = np.linspace(grid.x2_min, grid.x2_max, n_side)
     xx, yy = np.meshgrid(g1, g2, indexing="ij")
     pts = np.column_stack([xx.ravel(), yy.ravel()])
-    images = dmap(pts)
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["gx1", "gx2", "dx1", "dx2"])
-        for p, q in zip(pts, images):
-            writer.writerow([fmt(p[0]), fmt(p[1]), fmt(q[0]), fmt(q[1])])
+    write_map_csv(path, pts, dmap(pts))
 
 
 def read_config(path) -> dict:

@@ -24,12 +24,14 @@ from scipy.spatial.distance import cdist
 from .basis import KnotGrid, design_matrix
 from .deformation import (
     CoefPair,
+    DeformationMap,
     _corner_tables,
     _corner_values_and_jac,
+    affine_coef,
     coef_to_vec,
     corner_values,
     default_epsilon,
-    identity_coef,
+    eval_map_points,
     vec_to_coef,
 )
 from .errors import FitError, InfeasibilityError
@@ -127,6 +129,10 @@ def _tps_spectrum(sites) -> np.ndarray:
     return np.clip(np.linalg.eigvalsh(0.5 * (kz + kz.T)), 0.0, None)
 
 
+def _tps_dof(mu: np.ndarray, n_lam: float) -> float:
+    return 3.0 + float(np.sum(mu / (mu + n_lam)))
+
+
 def tps_effective_dof(sites, lam: float) -> float:
     """Trace of the smoother matrix mapping targets to fitted values.
 
@@ -134,12 +140,8 @@ def tps_effective_dof(sites, lam: float) -> float:
     over the spectrum of the projected kernel, so it decreases from n
     at lam = 0 toward 3.
     """
-    sites = np.asarray(sites, dtype=float)
-    mu = _tps_spectrum(sites)
-    n_lam = sites.shape[0] * lam
-    if n_lam == 0.0:
-        return float(sites.shape[0])
-    return 3.0 + float(np.sum(mu / (mu + n_lam)))
+    mu, n = _tps_spectrum(sites), len(sites)
+    return float(n) if lam == 0.0 else _tps_dof(mu, n * lam)
 
 
 def tps_lambda_for_dof(sites, dof: float, lo: float = 1e-14, hi: float = 1e14) -> float:
@@ -150,11 +152,8 @@ def tps_lambda_for_dof(sites, dof: float, lo: float = 1e-14, hi: float = 1e14) -
     if not 3.0 < dof < n:
         raise ValueError(f"target dof must lie in (3, {n}), got {dof}")
     mu = _tps_spectrum(sites)
-
-    def gap(loglam):
-        return 3.0 + np.sum(mu / (mu + n * 10.0**loglam)) - dof
-
-    return 10.0 ** brentq(gap, np.log10(lo), np.log10(hi), xtol=1e-13)
+    return 10.0 ** brentq(lambda loglam: _tps_dof(mu, n * 10.0**loglam) - dof,
+                          np.log10(lo), np.log10(hi), xtol=1e-13)
 
 
 def make_tps_smoother(lam: float):
@@ -171,32 +170,23 @@ def make_tps_smoother(lam: float):
 # constrained tensor-product B-spline fit
 
 
+def _normal_equations(grid: KnotGrid, sites, targets, ridge: float):
+    """Gram matrix W'W + ridge I and right-hand sides W' targets."""
+    w = design_matrix(grid, sites)
+    return (w.T @ w).toarray() + ridge * np.eye(w.shape[1]), np.asarray(w.T @ targets)
+
+
 def unconstrained_bspline_fit(grid: KnotGrid, sites, targets, ridge: float = 0.0) -> CoefPair:
     """Plain (ridge-regularized) least-squares coefficient fit."""
-    w = design_matrix(grid, sites)
-    m = grid.k1 * grid.k2
-    g = (w.T @ w).toarray() + ridge * np.eye(m)
-    rhs = w.T @ np.asarray(targets, dtype=float)
+    g, rhs = _normal_equations(grid, sites, np.asarray(targets, dtype=float), ridge)
     try:
         sol = scipy.linalg.solve(g, rhs, assume_a="pos")
     except scipy.linalg.LinAlgError as e:
         raise FitError(
-            f"rank-deficient design (K1*K2={m} coefficients, {w.shape[0]} sites); "
+            f"rank-deficient design (K1*K2={g.shape[0]} coefficients, {len(sites)} sites); "
             f"use a ridge term: {e}"
         ) from None
-    th1 = sol[:, 0].reshape((grid.k1, grid.k2), order="F")
-    th2 = sol[:, 1].reshape((grid.k1, grid.k2), order="F")
-    return CoefPair(th1, th2)
-
-
-def _affine_lift(grid: KnotGrid, beta: np.ndarray) -> CoefPair:
-    """Coefficients reproducing the affine map x -> beta[0] + beta[1:] x."""
-    k1pos = grid.knot_positions(1)
-    k2pos = grid.knot_positions(2)
-    g1, g2 = np.meshgrid(k1pos, k2pos, indexing="ij")
-    th1 = beta[0, 0] + beta[1, 0] * g1 + beta[2, 0] * g2
-    th2 = beta[0, 1] + beta[1, 1] * g1 + beta[2, 1] * g2
-    return CoefPair(th1, th2)
+    return vec_to_coef(grid, sol.T.ravel())
 
 
 def _feasible_start(grid, sites, targets, epsilon) -> CoefPair:
@@ -212,20 +202,19 @@ def _feasible_start(grid, sites, targets, epsilon) -> CoefPair:
     candidates = []
     p = np.column_stack([np.ones(len(sites)), sites])
     beta, *_ = np.linalg.lstsq(p, targets, rcond=None)
-    candidates.append(_affine_lift(grid, beta))
+    candidates.append(affine_coef(grid, beta))
 
     from .scaling import procrustes
 
     try:
         t = procrustes(sites, targets, scale=True, allow_reflection=False)
         beta_sim = np.vstack([t.shift, t.scale * t.rotation.T])
-        candidates.append(_affine_lift(grid, beta_sim))
+        candidates.append(affine_coef(grid, beta_sim))
     except FitError:
         pass
 
-    ident = identity_coef(grid)
     center_shift = targets.mean(axis=0) - sites.mean(axis=0)
-    candidates.append(CoefPair(ident.theta1 + center_shift[0], ident.theta2 + center_shift[1]))
+    candidates.append(affine_coef(grid, np.vstack([center_shift, np.eye(2)])))
 
     for cand in candidates:
         if corner_values(grid, cand).min() > epsilon:
@@ -401,9 +390,7 @@ def fit_bspline_constrained(
     if corner_values(grid, unconstrained).min() >= epsilon:
         return CoefPair(unconstrained.theta1, unconstrained.theta2, validated=True)
 
-    w = design_matrix(grid, sites)
-    gmat = (w.T @ w).toarray() + ridge * np.eye(m)
-    cvec = np.asarray(w.T @ targets)
+    gmat, cvec = _normal_equations(grid, sites, targets, ridge)
     start = _feasible_start(grid, sites, targets, epsilon)
     start_slack = corner_values(grid, start).min() - epsilon
 
@@ -426,10 +413,6 @@ def make_bspline_smoother(grid: KnotGrid, epsilon: float | None = None,
 
     def smoother(sites, targets):
         coef = fit_bspline_constrained(grid, sites, targets, epsilon=epsilon, ridge=ridge)
-        w = design_matrix(grid, sites)
-        return np.column_stack([
-            w @ coef.theta1.ravel(order="F"),
-            w @ coef.theta2.ravel(order="F"),
-        ])
+        return eval_map_points(DeformationMap(grid, coef), sites)
 
     return smoother

@@ -25,22 +25,21 @@ from spatdeform.covariance import (
 from spatdeform.deformation import (
     CoefPair,
     DeformationMap,
-    cell_jacobian,
     corner_values,
-    eval_map,
     eval_map_points,
     identity_coef,
-    jacobian_det,
     min_jacobian,
 )
 from spatdeform.estimation import Dataset, FitConfig, fit, normalize_gauge
-from spatdeform.fields import IdentityMap, Swirl, krige, simulate_grf
+from spatdeform.fields import Swirl, krige, simulate_grf
 from spatdeform.scaling import configuration_stress, procrustes, sg_initialize
 from spatdeform.smoothers import (
     fit_bspline_constrained,
     make_tps_smoother,
     unconstrained_bspline_fit,
 )
+
+from oracles import IdentityMap, cell_jacobian, eval_map, jacobian_det
 
 EPS = 1e-3
 SWIRL = Swirl(center=(0.5, 0.5), strength=1.5, radius=0.35)

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from spatdeform.basis import KnotGrid, design_matrix, eval_basis, eval_basis_deriv
+from spatdeform.basis import KnotGrid, design_matrix
 from spatdeform.errors import DomainError
+
+from oracles import eval_basis, eval_basis_deriv
 
 
 @pytest.fixture

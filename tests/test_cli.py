@@ -94,6 +94,40 @@ class TestEstimate:
         assert rc == 4
 
 
+class TestBadSettings:
+    # every setting out of range is a data error: exit code 2, one line on
+    # stderr and no traceback
+    @pytest.mark.parametrize("extra", [
+        ["--k", "1"], ["--epsilon", "-1"], ["--epsilon", "nan"], ["--epsilon", "inf"],
+        ["--tol", "-1"], ["--tol", "nan"],
+    ])
+    def test_estimate(self, workdir, simulated, capsys, extra):
+        rc = main(["estimate", "--data", str(simulated / "data.csv"), "--k", "4",
+                   "--out", str(workdir / "bad.json")] + extra)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "data error" in err and "Traceback" not in err
+
+    def test_compare(self, workdir, capsys):
+        cfg = workdir / "bad.cfg"
+        cfg.write_text("grid_n = 5\nT = 10\nmax_outer = 0\n")
+        rc = main(["compare", "--config", str(cfg), "--out", str(workdir / "bad_cmp")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "data error" in err and "max_outer" in err and "Traceback" not in err
+
+    def test_negative_draws(self, workdir, simulated, fitted_model, pred_grid, capsys):
+        rc = main([
+            "predict", "--model", str(fitted_model), "--data", str(simulated / "data.csv"),
+            "--grid", str(pred_grid), "--time", "t000", "--out", str(workdir / "bad.csv"),
+            "--draws", "-2",
+        ])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "data error" in err and "Traceback" not in err
+        assert not (workdir / "bad.csv").exists()
+
+
 @pytest.fixture(scope="module")
 def pred_grid(workdir):
     path = workdir / "grid.csv"

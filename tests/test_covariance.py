@@ -8,7 +8,6 @@ from spatdeform.covariance import (
     DispersionMatrix,
     VariogramModel,
     cholesky_or_raise,
-    correlation,
     covariance_matrix,
     fit_variogram,
     sample_dispersions,
@@ -16,6 +15,8 @@ from spatdeform.covariance import (
 )
 from spatdeform.deformation import DeformationMap, identity_coef
 from spatdeform.errors import DataError, FitError, NumericalError
+
+from oracles import correlation
 
 
 def identity_map(pts):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import cho_factor, cho_solve, lapack
+from scipy.optimize import OptimizeResult
 from scipy.spatial.distance import cdist
 
 from spatdeform.basis import KnotGrid, design_matrix
@@ -37,7 +38,9 @@ from spatdeform.estimation import (
     replicate_loglik,
     step_cov,
 )
-from spatdeform.fields import IdentityMap, Swirl, simulate_grf
+from spatdeform.fields import Swirl, simulate_grf
+
+from oracles import IdentityMap
 
 
 def grid_sites(n_side, lo=0.0, hi=1.0):
@@ -197,6 +200,26 @@ class TestRefineCoordsMl:
         assert (loglik(ds, DeformationMap(grid, refined), cov)
                 >= loglik(ds, DeformationMap(grid, start), cov))
 
+    def test_warning_carries_the_solver_message(self, problem, monkeypatch):
+        # only SLSQP's exit mode 9 is its iteration limit; any other
+        # failure is reported in SLSQP's own words
+        import spatdeform.estimation as est
+
+        def failing_minimize(fun, x0, **kwargs):
+            return OptimizeResult(x=np.zeros_like(x0), success=False, status=8, nit=7,
+                                  message="Positive directional derivative for linesearch")
+
+        monkeypatch.setattr(est, "minimize", failing_minimize)
+        ds, cov, grid = problem
+        start = identity_coef(grid)
+        with pytest.warns(RuntimeWarning) as record:
+            refined = est.refine_coords_ml(ds, cov, grid, start, epsilon=1e-3)
+        messages = [str(w.message) for w in record]
+        assert any("after 7 iterations: Positive directional derivative for linesearch" in m
+                   for m in messages), messages
+        assert not any("iteration limit" in m for m in messages), messages
+        assert np.array_equal(coef_to_vec(refined), coef_to_vec(start))
+
 
 def wobbled(grid, rng, amount=0.05):
     base = identity_coef(grid)
@@ -339,6 +362,25 @@ class TestSmoothnessPenalty:
         assert corner_values(grid, smooth).min() >= 1e-3 - 1e-9
         assert (pen.value_and_grad(coef_to_vec(smooth))[0]
                 < pen.value_and_grad(coef_to_vec(plain))[0])
+
+
+def test_each_state_is_factored_once(swirl_problem, monkeypatch):
+    # the ascent's start value and its metric share one factorization, and
+    # so does each SLSQP gradient with the value at the same point before it
+    import spatdeform.estimation as est
+
+    real_factor = est.factor_covariance
+    factored = []
+
+    def recording_factor(c):
+        factored.append(np.array(c))
+        return real_factor(c)
+
+    monkeypatch.setattr(est, "factor_covariance", recording_factor)
+    ds, cov, grid = swirl_problem
+    est.refine_coords_ml(ds, cov, grid, identity_coef(grid), epsilon=1e-3)
+    assert len(factored) > 10
+    assert not any(np.array_equal(a, b) for a, b in zip(factored, factored[1:]))
 
 
 class TestFisherInformation:

@@ -9,12 +9,13 @@ from spatdeform.deformation import CoefPair, identity_coef
 from spatdeform.errors import DomainError, NumericalError
 from spatdeform.estimation import DeformModel, FitDiagnostics
 from spatdeform.fields import (
-    IdentityMap,
     Swirl,
     conditional_simulate,
     krige,
     simulate_grf,
 )
+
+from oracles import IdentityMap
 
 
 def make_model(cov, k=4, lo=0.0, hi=1.0, mean=0.0):

@@ -210,13 +210,13 @@ class TestConfig:
         path = tmp_path / "run.cfg"
         path.write_text(
             "# harness settings\n"
-            "k1 = 4\nk2 = 4\nT = 50\nseed = 3\n"
+            "grid_n = 4\nmax_outer = 4\nT = 50\nseed = 3\n"
             "swirl_strength = 1.5  # radians\n"
             "swirl_radius = 0.35\n"
         )
         cfg = modelio.read_config(path)
         assert cfg == {
-            "k1": 4, "k2": 4, "t": 50, "seed": 3,
+            "grid_n": 4, "max_outer": 4, "t": 50, "seed": 3,
             "swirl_strength": 1.5, "swirl_radius": 0.35,
         }
 
@@ -228,7 +228,7 @@ class TestConfig:
 
     def test_bad_value(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("k1 = four\n")
+        path.write_text("grid_n = four\n")
         with pytest.raises(DataError):
             modelio.read_config(path)
 
