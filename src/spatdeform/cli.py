@@ -175,11 +175,16 @@ def cmd_compare(args) -> None:
     ctrue = covariance_matrix(sites, truth, cov_true)
     iu = np.triu_indices(len(sites), k=1)
     d2 = sample_dispersions(z)
+    configs = [FitConfig(k1=k, k2=k, epsilon=cfg["epsilon"], tol=cfg["tol"],
+                         max_outer=cfg["max_outer"], ridge=cfg["ridge"]) for k in COMPARE_K]
+    # each thin-plate baseline matches the dof K^2, which must lie in (3, n)
+    n = len(sites)
+    if not all(3 < k * k < n for k in COMPARE_K):
+        raise DataError(f"grid_n = {cfg['grid_n']} gives {n} sites, but the baselines "
+                        f"need 3 < K^2 < {n} for every K in {COMPARE_K}")
 
     rows = []
-    for k in COMPARE_K:
-        config = FitConfig(k1=k, k2=k, epsilon=cfg["epsilon"], tol=cfg["tol"],
-                           max_outer=cfg["max_outer"], ridge=cfg["ridge"])
+    for k, config in zip(COMPARE_K, configs):
         model = fit(dataset, config)
         cest = covariance_matrix(sites, model.mapping(), model.cov)
         _write_pairs(out / f"scatter_bspline_k{k}.csv", SCATTER_COLUMNS, ids, ctrue, cest)

@@ -9,6 +9,11 @@ and finally removes the gauge freedom (shift/rotation/scale of the
 deformed plane, with the range co-scaled) by aligning the fitted
 coordinates to the sites.
 
+The covariance step writes the covariance as sigma2 (R_phi + g I), with
+g the nugget-to-sill ratio, profiles sigma2 out in closed form and
+searches (log phi, g) in a box with the exact gradient of the profiled
+likelihood (Mardia & Marshall 1984).
+
 The likelihood step maximizes a penalized likelihood: a scale-free
 second-difference roughness of the coefficients (P-splines, Eilers &
 Marx 1996) keeps the 2 K1 K2 coefficients from spending their capacity
@@ -24,7 +29,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lapack, solve_triangular
+from scipy.linalg import blas, lapack, solve_triangular
 from scipy.optimize import minimize
 from scipy.spatial.distance import cdist, pdist
 
@@ -227,10 +232,36 @@ class _LikelihoodState:
         return self._loglik(float(np.sum(white * white)))
 
     @functools.cached_property
+    def _cinv_lower(self) -> np.ndarray:
+        # LAPACK potri: about a third of the work of solving against I;
+        # only the lower triangle holds C^-1
+        return lapack.dpotri(self.lower, lower=1)[0]
+
+    @functools.cached_property
     def cinv(self) -> np.ndarray:
-        # LAPACK potri: about a third of the work of solving against I
-        inv = lapack.dpotri(self.lower, lower=1)[0]
+        inv = self._cinv_lower
         return np.tril(inv) + np.tril(inv, -1).T
+
+    def profiled_value_and_grad(self) -> tuple[float, np.ndarray, float]:
+        """For a unit-sill state, C = R_phi + g I built with ``cov`` =
+        (1, phi, g): the log-likelihood of sigma2 C maximized over sigma2,
+        its gradient in (log phi, g), and the maximizing sigma2.
+
+        sigma2 = tr(Z' C^-1 Z) / (n T) in closed form.  With W = C^-1 Z
+        each derivative is (1/2)[tr(W' dC W) / sigma2 - T tr(C^-1 dC)]
+        (Mardia & Marshall 1984), where dC is R o D / phi for log phi and
+        I for g.
+        """
+        n, t = self.zc.shape
+        inv = self._cinv_lower
+        w = blas.dsymm(1.0, inv, self.zc, lower=1)
+        s2 = float(np.sum(self.zc * w)) / (n * t)
+        ll = -0.5 * (n * t * (np.log(2.0 * np.pi * s2) + 1.0) + t * self.logdet)
+        dc = self.c * self.d / self.cov.phi
+        # dC has a zero diagonal, so tr(C^-1 dC) is twice its lower sum
+        d_phi = np.sum(w * (dc @ w)) / s2 - 2.0 * t * np.sum(np.tril(inv) * dc)
+        d_g = np.sum(w * w) / s2 - t * np.trace(inv)
+        return ll, 0.5 * np.array([d_phi, d_g]), s2
 
     def value_and_coord_grad(self) -> tuple[float, np.ndarray]:
         """The log-likelihood read from C^-1 Z, and its (n, 2) gradient in
@@ -292,50 +323,70 @@ def loglik(dataset: Dataset, mapping, cov: CovParams) -> float:
     return replicate_loglik(dataset.replicates, c)
 
 
+# the covariance step searches the nugget-to-sill ratio g within [0, G_MAX]
+G_MAX = 1e6
+
+
 def step_cov(dataset: Dataset, mapping, cov_init: CovParams) -> CovParams:
     """Maximize the replicate likelihood over (sigma2, phi, nugget).
 
-    Box-constrained local search from the incumbent and from a moment
-    start; never returns parameters with lower likelihood than
-    ``cov_init``.
+    The covariance is written sigma2 (R_phi + g I), with g the
+    nugget-to-sill ratio, and sigma2 is profiled out in closed form.
+    L-BFGS-B then searches (log phi, g) over phi in [1e-4, 10] times the
+    deformed diameter and g in [0, G_MAX], with the exact gradient of the
+    profiled log-likelihood, from the incumbent and from a moment start
+    (phi a quarter of the diameter, g = 1).  Never returns parameters with
+    lower likelihood than ``cov_init``; warns when neither start reports
+    success.
     """
     y = np.asarray(mapping(dataset.sites), dtype=float)
     d = cdist(y, y)
     diam = float(d.max())
     if diam <= 0:
         raise FitError("mapped sites are coincident; cannot estimate a range")
-    v = float(np.mean(np.var(dataset.replicates, axis=1, ddof=1)))
-    if v <= 0:
+    if float(np.mean(np.var(dataset.replicates, axis=1, ddof=1))) <= 0:
         raise FitError("replicates are constant; cannot estimate a variance")
-    bounds = [
-        (1e-6 * v, 1e3 * v),
-        (1e-4 * diam, 10.0 * diam),
-        (0.0, 1e3 * v),
-    ]
+    phi_box = (1e-4 * diam, 10.0 * diam)
+    bounds = [tuple(np.log(phi_box)), (0.0, G_MAX)]
     zc = dataset.demeaned()
+    # every evaluated point, so that the incumbent's value and L-BFGS-B's
+    # first evaluation, and the returned point and its sigma2, share one
+    # factorization
+    evaluated: dict[bytes, tuple[float, np.ndarray, float]] = {}
 
-    def objective(p):
-        try:
-            return -_LikelihoodState(zc, exp_covariance(d, CovParams(*p))).value
-        except (NumericalError, ValueError):
-            return 1e300
+    def profiled(x):
+        key = x.tobytes()
+        if key not in evaluated:
+            unit = CovParams(1.0, float(np.exp(x[0])), float(x[1]))
+            try:
+                ll, grad, s2 = _LikelihoodState(zc, exp_covariance(d, unit), d=d,
+                                                cov=unit).profiled_value_and_grad()
+                evaluated[key] = (-ll, -grad, s2)
+            except NumericalError:
+                evaluated[key] = (1e300, np.zeros(2), np.nan)
+        return evaluated[key]
 
-    p_init = np.clip([cov_init.sigma2, cov_init.phi, cov_init.nugget], *np.array(bounds).T)
-    f_init = objective(p_init)
-    candidates = [(f_init, p_init)]
-    for x0 in (p_init, np.array([0.5 * v, 0.25 * diam, 0.5 * v])):
-        res = minimize(objective, x0, method="L-BFGS-B", bounds=bounds)
+    x_init = np.clip([np.log(cov_init.phi), cov_init.nugget / cov_init.sigma2],
+                     *np.array(bounds).T)
+    candidates = [(profiled(x_init)[0], x_init)]
+    failures = []
+    for x0 in (x_init, np.array([np.log(0.25 * diam), 1.0])):
+        res = minimize(lambda x: profiled(x)[:2], x0, jac=True, method="L-BFGS-B",
+                       bounds=bounds)
         candidates.append((res.fun, res.x))
-    fbest, pbest = min(candidates, key=lambda c: c[0])
-    if not np.isfinite(fbest):
+        if not res.success:
+            failures.append(str(res.message))
+    # min keeps the incumbent, the first candidate, unless a result is
+    # strictly better
+    fbest, xbest = min(candidates, key=lambda c: c[0])
+    if not fbest < 1e300:
         raise NumericalError("likelihood is not finite anywhere in the search box")
-    if fbest >= f_init and not np.allclose(pbest, p_init):
-        warnings.warn(
-            "covariance step could not improve on the incumbent parameters",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return CovParams(sigma2=float(pbest[0]), phi=float(pbest[1]), nugget=float(max(pbest[2], 0.0)))
+    if len(failures) == 2:
+        warnings.warn(f"covariance step: neither start converged ({'; '.join(failures)})",
+                      RuntimeWarning, stacklevel=2)
+    s2 = profiled(xbest)[2]
+    phi = float(np.clip(np.exp(xbest[0]), *phi_box))
+    return CovParams(sigma2=s2, phi=phi, nugget=float(xbest[1]) * s2)
 
 
 def difference_penalty(grid: KnotGrid) -> np.ndarray:

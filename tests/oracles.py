@@ -3,8 +3,8 @@ package's vectorized kernels against.
 
 None of these is used by the package itself: the 1-d basis vectors, the
 skew-symmetric bilinear form A(x), the per-cell Jacobian, the corner
-functionals one by one, single-point map evaluation and the exponential
-correlation.
+functionals one by one, single-point map evaluation, the exponential
+correlation and a covariance step by finite differences.
 """
 
 from __future__ import annotations
@@ -13,10 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sps
+from scipy.optimize import minimize
+from scipy.spatial.distance import cdist
 
 from spatdeform.basis import KnotGrid, cell_and_local
-from spatdeform.covariance import CovParams
+from spatdeform.covariance import CovParams, exp_covariance
 from spatdeform.deformation import CORNER_ORDER, CoefPair, DeformationMap, eval_map_points
+from spatdeform.errors import NumericalError
+from spatdeform.estimation import replicate_loglik
 
 
 def eval_basis(grid: KnotGrid, axis: int, x: float) -> np.ndarray:
@@ -166,3 +170,32 @@ def correlation(h, params: CovParams):
         raise ValueError("distances must be nonnegative")
     out = np.exp(-h / params.phi)
     return float(out) if out.ndim == 0 else out
+
+
+def step_cov_fd(dataset, mapping, cov_init: CovParams) -> CovParams:
+    """The covariance step searched directly over (sigma2, phi, nugget).
+
+    L-BFGS-B with finite-difference gradients, from the incumbent and
+    from the moment start (half the mean site variance as sill and
+    nugget, a quarter of the deformed diameter as range), keeping the
+    best of the incumbent and both results.
+    """
+    y = np.asarray(mapping(dataset.sites), dtype=float)
+    d = cdist(y, y)
+    diam = float(d.max())
+    v = float(np.mean(np.var(dataset.replicates, axis=1, ddof=1)))
+    bounds = [(1e-6 * v, 1e3 * v), (1e-4 * diam, 10.0 * diam), (0.0, 1e3 * v)]
+
+    def objective(p):
+        try:
+            return -replicate_loglik(dataset.replicates, exp_covariance(d, CovParams(*p)))
+        except (NumericalError, ValueError):
+            return 1e300
+
+    p_init = np.clip([cov_init.sigma2, cov_init.phi, cov_init.nugget], *np.array(bounds).T)
+    candidates = [(objective(p_init), p_init)]
+    for x0 in (p_init, np.array([0.5 * v, 0.25 * diam, 0.5 * v])):
+        res = minimize(objective, x0, method="L-BFGS-B", bounds=bounds)
+        candidates.append((res.fun, res.x))
+    p = min(candidates, key=lambda c: c[0])[1]
+    return CovParams(sigma2=float(p[0]), phi=float(p[1]), nugget=float(max(p[2], 0.0)))

@@ -116,6 +116,15 @@ class TestBadSettings:
         assert rc == 2
         assert "data error" in err and "max_outer" in err and "Traceback" not in err
 
+    def test_compare_grid_too_small_for_the_baselines(self, workdir, capsys):
+        # 36 sites leave no thin-plate baseline with K^2 = 36 dof
+        cfg = workdir / "small.cfg"
+        cfg.write_text("grid_n = 6\nT = 20\nmax_outer = 2\n")
+        rc = main(["compare", "--config", str(cfg), "--out", str(workdir / "small_cmp")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "data error" in err and "grid_n" in err and "Traceback" not in err
+
     def test_negative_draws(self, workdir, simulated, fitted_model, pred_grid, capsys):
         rc = main([
             "predict", "--model", str(fitted_model), "--data", str(simulated / "data.csv"),

@@ -8,7 +8,7 @@ from scipy.optimize import OptimizeResult
 from scipy.spatial.distance import cdist
 
 from spatdeform.basis import KnotGrid, design_matrix
-from spatdeform.covariance import CovParams, covariance_matrix
+from spatdeform.covariance import CovParams, covariance_matrix, exp_covariance
 from spatdeform.deformation import (
     CoefPair,
     DeformationMap,
@@ -27,6 +27,7 @@ from spatdeform.estimation import (
     FitDiagnostics,
     PENALTY_STEP_REACH,
     SmoothnessPenalty,
+    _LikelihoodState,
     _penalty_update,
     coef_fisher_information,
     coef_objective,
@@ -39,8 +40,9 @@ from spatdeform.estimation import (
     step_cov,
 )
 from spatdeform.fields import Swirl, simulate_grf
+from spatdeform.smoothers import unconstrained_bspline_fit
 
-from oracles import IdentityMap
+from oracles import IdentityMap, step_cov_fd
 
 
 def grid_sites(n_side, lo=0.0, hi=1.0):
@@ -170,6 +172,114 @@ class TestStepCov:
         first = step_cov(ds, dmap, CovParams(0.7, 0.2, 0.3))
         second = step_cov(ds, dmap, first)
         assert abs(loglik(ds, dmap, second) - loglik(ds, dmap, first)) < 1e-4
+
+
+@pytest.fixture(scope="module")
+def step_cov_problems():
+    """(dataset, map, incumbent) of each TestStepCov problem, and a K=8
+    spline map of the swirl study with replicates from the true swirl."""
+    out = []
+    sites = grid_sites(11)
+    z = simulate_grf(sites, IdentityMap(), CovParams(1.0, 0.25, 1.0), t=200, seed=7)
+    out.append((Dataset(sites, z), identity_model_map(), CovParams(0.5, 0.1, 0.5)))
+    rng = np.random.default_rng(8)
+    sites = grid_sites(4)
+    z = simulate_grf(sites, IdentityMap(), CovParams(1.0, 0.3, 0.5), t=30, seed=9)
+    for _ in range(5):
+        init = CovParams(rng.uniform(0.1, 2.0), rng.uniform(0.05, 1.0), rng.uniform(0.0, 2.0))
+        out.append((Dataset(sites, z), identity_model_map(), init))
+    z = simulate_grf(sites, IdentityMap(), CovParams(1.0, 0.3, 0.1), t=40, seed=10)
+    out.append((Dataset(sites, z), identity_model_map(), CovParams(1.0, 5.0, 0.1)))
+    sites = grid_sites(5)
+    z = simulate_grf(sites, IdentityMap(), CovParams(1.0, 0.3, 0.5), t=60, seed=22)
+    out.append((Dataset(sites, z), identity_model_map(), CovParams(0.7, 0.2, 0.3)))
+    sites = grid_sites(11)
+    swirl = Swirl(center=(0.5, 0.5), strength=1.5, radius=0.35)
+    grid = KnotGrid(0.0, 1.0, 0.0, 1.0, 8, 8)
+    dmap = DeformationMap(grid, unconstrained_bspline_fit(grid, sites, swirl(sites)))
+    z = simulate_grf(sites, swirl, CovParams(1.0, 0.25, 1.0), t=100, seed=1)
+    out.append((Dataset(sites, z), dmap, CovParams(0.6, 0.2, 0.7)))
+    return out
+
+
+class TestProfiledCovStep:
+    @pytest.fixture(scope="class")
+    def problem(self):
+        sites = grid_sites(6)
+        z = simulate_grf(sites, Swirl(strength=1.0), CovParams(1.0, 0.3, 0.5), t=50, seed=31)
+        ds = Dataset(sites, z)
+        dmap = identity_model_map()
+        return ds, dmap, cdist(dmap(sites), dmap(sites))
+
+    @staticmethod
+    def profiled(ds, d, x):
+        # the nugget ratio enters through the matrix only, so that central
+        # differences can step below g = 0
+        unit = CovParams(1.0, float(np.exp(x[0])), 0.0)
+        c = exp_covariance(d, unit) + x[1] * np.eye(len(d))
+        return _LikelihoodState(ds.demeaned(), c, d=d, cov=unit).profiled_value_and_grad()
+
+    @pytest.mark.parametrize("x", [(np.log(0.3), 0.0), (np.log(0.05), 0.4), (np.log(2.0), 3.0)])
+    def test_gradient_matches_central_differences(self, problem, x):
+        ds, _, d = problem
+        x = np.array(x)
+        _, grad, _ = self.profiled(ds, d, x)
+        fd = np.empty(2)
+        for i in range(2):
+            h = np.zeros(2)
+            h[i] = 1e-5
+            fd[i] = (self.profiled(ds, d, x + h)[0] - self.profiled(ds, d, x - h)[0]) / 2e-5
+        assert_allclose(grad, fd, rtol=1e-6)
+
+    def test_value_is_the_loglik_at_the_profiled_sill(self, problem):
+        ds, dmap, d = problem
+        phi, g = 0.3, 0.7
+        ll, _, s2 = self.profiled(ds, d, (np.log(phi), g))
+        assert ll == pytest.approx(loglik(ds, dmap, CovParams(s2, phi, g * s2)), rel=1e-12)
+        for scale in (1.0 - 1e-3, 1.0 + 1e-3):
+            assert ll > loglik(ds, dmap, CovParams(scale * s2, phi, g * scale * s2))
+
+    @pytest.mark.parametrize("case", range(9))
+    def test_at_least_the_finite_difference_optimum(self, step_cov_problems, case):
+        ds, dmap, init = step_cov_problems[case]
+        assert (loglik(ds, dmap, step_cov(ds, dmap, init))
+                >= loglik(ds, dmap, step_cov_fd(ds, dmap, init)) - 1e-6)
+
+    def test_searches_with_the_analytic_gradient_and_factors_each_matrix_once(
+            self, step_cov_problems, monkeypatch):
+        import spatdeform.estimation as est
+
+        real_factor, real_minimize = est.factor_covariance, est.minimize
+        factored, jacs = [], []
+
+        def recording_factor(c):
+            factored.append(np.array(c))
+            return real_factor(c)
+
+        def recording_minimize(fun, x0, **kwargs):
+            jacs.append(kwargs.get("jac"))
+            return real_minimize(fun, x0, **kwargs)
+
+        monkeypatch.setattr(est, "factor_covariance", recording_factor)
+        monkeypatch.setattr(est, "minimize", recording_minimize)
+        ds, dmap, init = step_cov_problems[-1]
+        est.step_cov(ds, dmap, init)
+        assert jacs == [True, True]
+        assert len(factored) > 2
+        assert not any(np.array_equal(a, b) for a, b in zip(factored, factored[1:]))
+
+    def test_warns_when_neither_start_converges(self, step_cov_problems, monkeypatch):
+        import spatdeform.estimation as est
+
+        def failing_minimize(fun, x0, **kwargs):
+            return OptimizeResult(x=np.array(x0, dtype=float), fun=fun(x0)[0], success=False,
+                                  message="ABNORMAL_TERMINATION_IN_LNSRCH")
+
+        monkeypatch.setattr(est, "minimize", failing_minimize)
+        ds, dmap, init = step_cov_problems[-1]
+        with pytest.warns(RuntimeWarning, match="^covariance step: neither start converged"):
+            cov = est.step_cov(ds, dmap, init)
+        assert loglik(ds, dmap, cov) >= loglik(ds, dmap, init)
 
 
 class TestRefineCoordsMl:
