@@ -37,7 +37,7 @@ from .errors import (
     NumericalError,
 )
 from .estimation import Dataset, FitConfig, fit
-from .fields import Swirl, conditional_simulate, krige, simulate_grf
+from .fields import KrigingSystem, Swirl, krige, simulate_grf
 from .scaling import sg_initialize
 from .smoothers import fit_tps, make_tps_smoother, tps_effective_dof, tps_lambda_for_dof
 
@@ -127,14 +127,17 @@ def cmd_predict(args) -> None:
         raise DataError(f"time label {args.time!r} not in the data "
                         f"(available: {', '.join(dataset.times)})")
     values = dataset.replicates[:, dataset.times.index(args.time)]
-    result = krige(model, dataset.sites, values, pred_sites)
+    if args.draws > 0:
+        # the prediction and the draws share one kriging system
+        system = KrigingSystem(model, dataset.sites, values, pred_sites)
+        result = system.krige()
+    else:
+        result = krige(model, dataset.sites, values, pred_sites)
     out = Path(args.out)
     modelio.write_prediction_csv(out, pred_sites, result.mean, result.variance)
     print(f"wrote {out} ({len(pred_sites)} prediction sites, period {args.time})")
     if args.draws > 0:
-        draws = conditional_simulate(
-            model, dataset.sites, values, pred_sites, n_draws=args.draws, seed=args.seed
-        )
+        draws = system.simulate(args.draws, args.seed)
         draws_csv = out.with_name(out.stem + "_draws.csv")
         modelio.write_csv(draws_csv, ["x1", "x2"] + [f"draw{d:03d}" for d in range(args.draws)],
                           np.hstack([pred_sites, draws]).tolist())

@@ -4,6 +4,14 @@ Provides the analytic truth map used by the simulation harness (an
 area-preserving vortex), replicate simulation through
 the Cholesky factor, and simple Kriging with conditional simulation for
 a fitted deformation model.
+
+Prediction builds one kriging system per call: the Cholesky factor L of
+the data covariance and V = L^-1 K from one triangular solve of the
+cross-covariance K.  The mean is mu + V^T L^-1 (z - mu), the variance
+sigma2 + nugget - colsum(V o V), and the conditional covariance
+K_pp - V^T V.  Conditional draws come from the pivoted Cholesky root of
+that covariance (LAPACK ``dpstrf``), which also covers the singular case
+of prediction sites at data sites, or repeated, with no nugget.
 """
 
 from __future__ import annotations
@@ -11,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg import blas, lapack, solve_triangular
 from scipy.spatial.distance import cdist
 
 from .covariance import (
@@ -29,6 +37,8 @@ __all__ = [
     "krige",
     "conditional_simulate",
     "KrigeResult",
+    "KrigingSystem",
+    "psd_root",
 ]
 
 
@@ -89,55 +99,112 @@ class KrigeResult:
     variance: np.ndarray
 
 
-def _kriging_system(model, sites, values, pred_sites):
-    dmap = model.mapping()
-    y = dmap(sites)
-    yp = dmap(pred_sites)
-    factor = factor_covariance(exp_covariance(cdist(y, y), model.cov))
-    cross = exp_covariance(cdist(y, yp), model.cov, cross=True)
-    z = np.asarray(values, dtype=float).ravel()
-    if z.shape[0] != y.shape[0]:
-        raise ValueError(f"expected {y.shape[0]} observed values, got {z.shape[0]}")
-    resid = z - model.mean
-    alpha = cho_solve(factor, resid, check_finite=False)
-    cross_solved = cho_solve(factor, cross, check_finite=False)
-    mean = model.mean + cross.T @ alpha
-    return yp, cross, cross_solved, mean
+# a kriging variance below -VARIANCE_SLACK (sigma2 + nugget) is an error,
+# not rounding; exact predictions round to about 1e-15 of that scale
+VARIANCE_SLACK = 1e-10
+# a trailing Schur complement entry above ROOT_SLACK times the scale marks
+# a matrix that is not positive semidefinite
+ROOT_SLACK = 1e-8
+
+
+def psd_root(a: np.ndarray, scale: float) -> np.ndarray:
+    """Root R, (m, rank), with R R^T = a for a positive semidefinite a.
+
+    Reads the lower triangle of ``a``.  LAPACK's pivoted Cholesky
+    (``dpstrf``) factors P^T a P = L L^T, stopping at the first pivot
+    below m eps ``scale``; row i of L becomes row piv[i] of R, so one
+    path serves full-rank and singular matrices.  When it stops at rank
+    r < m, the trailing (m - r)^2 Schur complement is formed from ``a``
+    and L; an entry above ``ROOT_SLACK * scale`` means ``a`` is not
+    positive semidefinite and raises NumericalError.
+    """
+    m = a.shape[0]
+    low, piv, rank, _ = lapack.dpstrf(a, tol=m * np.finfo(float).eps * scale, lower=1)
+    piv -= 1
+    if rank < m:
+        rest = piv[rank:]
+        tail = low[rank:, :rank]
+        schur = a[np.maximum.outer(rest, rest), np.minimum.outer(rest, rest)] - tail @ tail.T
+        worst = np.abs(schur).max()
+        if not worst <= ROOT_SLACK * scale:
+            raise NumericalError(f"covariance is not positive semidefinite: Schur complement "
+                                 f"entry {worst:.3g} at rank {rank} of {m}")
+    head = low[:rank, :rank]
+    head *= np.tri(rank, dtype=bool)
+    root = np.empty((m, rank))
+    root[piv] = low[:, :rank]
+    return root
+
+
+class KrigingSystem:
+    """Simple Kriging of one data vector onto prediction sites.
+
+    Holds one lower Cholesky factor L of the data covariance C and
+    V = L^-1 K for the cross-covariance K, from one triangular solve.
+    The mean, the variance and the conditional covariance all read
+    from them.  The stored global mean plays the known mean; the nugget
+    enters the data covariance but not the cross-covariances, so
+    predictions target the noise-free field value plus a nugget term in
+    the variance.
+    """
+
+    def __init__(self, model, sites, values, pred_sites):
+        dmap = model.mapping()
+        y = dmap(sites)
+        z = np.asarray(values, dtype=float).ravel()
+        if z.shape[0] != y.shape[0]:
+            raise ValueError(f"expected {y.shape[0]} observed values, got {z.shape[0]}")
+        self.cov = model.cov
+        self.scale = model.cov.sigma2 + model.cov.nugget
+        self.yp = dmap(pred_sites)
+        chol, _ = factor_covariance(exp_covariance(cdist(y, y), self.cov))
+        # built (m, n) and transposed: Fortran order, so it is solved in place
+        cross = exp_covariance(cdist(self.yp, y), self.cov, cross=True).T
+        self.v = solve_triangular(chol, cross, lower=True, overwrite_b=True, check_finite=False)
+        white = solve_triangular(chol, z - model.mean, lower=True, check_finite=False)
+        self.mean = model.mean + self.v.T @ white
+
+    def krige(self) -> KrigeResult:
+        """Mean and variance, sigma2 + nugget - colsum(V o V)."""
+        var = self.scale - np.einsum("ij,ij->j", self.v, self.v)
+        if np.any(var < -VARIANCE_SLACK * self.scale):
+            raise NumericalError(f"negative kriging variance {var.min()}")
+        return KrigeResult(mean=self.mean, variance=np.clip(var, 0.0, None))
+
+    def conditional_root(self) -> np.ndarray:
+        """Pivoted root (``psd_root``) of the conditional covariance
+        K_pp - V^T V."""
+        # Fortran order, so dsyrk updates the lower triangle in place
+        prior = exp_covariance(cdist(self.yp, self.yp), self.cov).T
+        cond = blas.dsyrk(-1.0, self.v, beta=1.0, c=prior, trans=1, lower=1, overwrite_c=1)
+        return psd_root(cond, self.scale)
+
+    def simulate(self, n_draws: int, seed: int) -> np.ndarray:
+        """(m, n_draws) conditional draws, mean + R N for the conditional
+        root R, (m, rank), and N standard normal, (rank, n_draws)."""
+        if n_draws < 1:
+            raise ValueError(f"need at least one draw, got {n_draws}")
+        root = self.conditional_root()
+        rng = np.random.default_rng(seed)
+        return self.mean[:, None] + root @ rng.standard_normal((root.shape[1], n_draws))
 
 
 def krige(model, sites, values, pred_sites) -> KrigeResult:
-    """Simple Kriging at prediction sites under a fitted model.
-
-    The stored global mean plays the known mean; the nugget enters the
-    data covariance but not the cross-covariances, so predictions target
-    the noise-free field value plus a nugget term in the variance.
-    """
-    _, cross, cross_solved, mean = _kriging_system(model, sites, values, pred_sites)
-    total = model.cov.sigma2 + model.cov.nugget
-    var = total - np.sum(cross * cross_solved, axis=0)
-    if np.any(var < -1e-10):
-        raise NumericalError(f"negative kriging variance {var.min()}")
-    return KrigeResult(mean=mean, variance=np.clip(var, 0.0, None))
+    """Simple Kriging at prediction sites under a fitted model; see
+    ``KrigingSystem``."""
+    return KrigingSystem(model, sites, values, pred_sites).krige()
 
 
 def conditional_simulate(model, sites, values, pred_sites, n_draws: int, seed: int) -> np.ndarray:
     """Draws from the conditional Gaussian at the prediction sites.
 
     Returns an (m, n_draws) matrix whose empirical mean converges to
-    the Kriging mean.  The conditional covariance may be singular
-    (e.g. predicting at a data site with no nugget), so sampling uses
-    the eigendecomposition with clipped nonnegative eigenvalues.
+    the Kriging mean.  The draws are mean + R N, with R the pivoted
+    Cholesky root (``psd_root``) of the conditional covariance
+    K_pp - V^T V and N standard normal, (rank, n_draws).  That
+    covariance is singular when a prediction site is a data site or is
+    repeated and there is no nugget; the root then has fewer columns
+    than sites, and such sites draw the data value or each other's
+    value.
     """
-    if n_draws < 1:
-        raise ValueError(f"need at least one draw, got {n_draws}")
-    yp, cross, cross_solved, mean = _kriging_system(model, sites, values, pred_sites)
-    cond = exp_covariance(cdist(yp, yp), model.cov) - cross.T @ cross_solved
-    cond = 0.5 * (cond + cond.T)
-    vals, vecs = np.linalg.eigh(cond)
-    scale = max(abs(vals).max(), 1.0)
-    if vals.min() < -1e-8 * scale:
-        raise NumericalError(f"conditional covariance has negative eigenvalue {vals.min()}")
-    root = vecs * np.sqrt(np.clip(vals, 0.0, None))
-    rng = np.random.default_rng(seed)
-    draws = root @ rng.standard_normal((len(mean), n_draws))
-    return mean[:, None] + draws
+    return KrigingSystem(model, sites, values, pred_sites).simulate(n_draws, seed)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -169,7 +170,7 @@ def ingest(path) -> Dataset:
     """
     coords: dict[str, tuple[float, float]] = {}
     values: dict[str, dict[str, float]] = {}
-    times: list[str] = []
+    times: set[str] = set()
     for line_no, (sid, x1s, x2s, time_label, value_s) in _csv_rows(path, DATA_HEADER, "data"):
         if not sid or not time_label:
             raise DataError(f"line {line_no}: empty station id or time label")
@@ -186,8 +187,7 @@ def ingest(path) -> Dataset:
         if time_label in values[sid]:
             raise DataError(f"line {line_no}: duplicate (station, time) pair "
                             f"({sid!r}, {time_label!r})")
-        if time_label not in times:
-            times.append(time_label)
+        times.add(time_label)
         if value_s == "" or value_s.lower() == "nan":
             value = float("nan")
         else:
@@ -201,7 +201,7 @@ def ingest(path) -> Dataset:
     complete, dropped = [], []
     for sid in sorted(coords):
         series = values[sid]
-        if all(t in series and np.isfinite(series[t]) for t in times):
+        if all(t in series and math.isfinite(series[t]) for t in times):
             complete.append(sid)
         else:
             dropped.append(sid)

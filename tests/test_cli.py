@@ -178,6 +178,24 @@ class TestPredict:
         assert main(args) == 0
         assert draws.read_text() == first
 
+    def test_draws_share_one_kriging_system(self, workdir, simulated, fitted_model, pred_grid,
+                                           monkeypatch):
+        from spatdeform import fields
+        factor = fields.factor_covariance
+        calls = []
+
+        def counting(c):
+            calls.append(c.shape)
+            return factor(c)
+
+        monkeypatch.setattr(fields, "factor_covariance", counting)
+        assert main([
+            "predict", "--model", str(fitted_model), "--data", str(simulated / "data.csv"),
+            "--grid", str(pred_grid), "--time", "t001", "--out", str(workdir / "pred3.csv"),
+            "--draws", "3",
+        ]) == 0
+        assert len(calls) == 1
+
     def test_unknown_time_label(self, workdir, simulated, fitted_model, pred_grid):
         rc = main([
             "predict", "--model", str(fitted_model), "--data", str(simulated / "data.csv"),

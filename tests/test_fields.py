@@ -9,9 +9,11 @@ from spatdeform.deformation import CoefPair, identity_coef
 from spatdeform.errors import DomainError, NumericalError
 from spatdeform.estimation import DeformModel, FitDiagnostics
 from spatdeform.fields import (
+    KrigingSystem,
     Swirl,
     conditional_simulate,
     krige,
+    psd_root,
     simulate_grf,
 )
 
@@ -23,6 +25,15 @@ def make_model(cov, k=4, lo=0.0, hi=1.0, mean=0.0):
     coef = identity_coef(grid)
     coef = CoefPair(coef.theta1, coef.theta2, validated=True)
     return DeformModel(grid=grid, coef=coef, cov=cov, mean=mean, diagnostics=FitDiagnostics())
+
+
+def dense_conditional_cov(cov, sites, pred):
+    """Conditional covariance of the prediction sites from the dense
+    formula, C22 - C12^T C11^-1 C12, with the nugget on both diagonals."""
+    c11 = cov.sigma2 * np.exp(-cdist(sites, sites) / cov.phi) + cov.nugget * np.eye(len(sites))
+    c12 = cov.sigma2 * np.exp(-cdist(sites, pred) / cov.phi)
+    c22 = cov.sigma2 * np.exp(-cdist(pred, pred) / cov.phi) + cov.nugget * np.eye(len(pred))
+    return c22 - c12.T @ np.linalg.solve(c11, c12)
 
 
 class TestSwirl:
@@ -146,6 +157,17 @@ class TestKrige:
         with pytest.raises(DomainError):
             krige(model, sites, np.zeros(5), np.array([[1.5, 0.5]]))
 
+    @pytest.mark.parametrize("sill", [1e6, 1e8])
+    def test_exact_prediction_at_large_sill(self, sill):
+        # the variance rounds to about 1e-15 of the sill, not to 1e-15
+        rng = np.random.default_rng(19)
+        sites = rng.uniform(0.05, 0.95, (60, 2))
+        model = make_model(CovParams(sill, 0.3, 0.0))
+        values = np.sqrt(sill) * rng.normal(size=60)
+        res = krige(model, sites, values, sites)
+        assert_allclose(res.mean, values, rtol=0, atol=1e-6 * np.sqrt(sill))
+        assert np.all(res.variance <= 1e-10 * sill)
+
     def test_singular_system(self):
         model = make_model(CovParams(1.0, 0.3, 0.0))
         sites = np.array([[0.5, 0.5], [0.5, 0.5], [0.2, 0.2], [0.8, 0.8]])
@@ -183,3 +205,69 @@ class TestConditionalSimulate:
         values = rng.normal(size=5)
         draws = conditional_simulate(model, sites, values, sites[:2], n_draws=50, seed=18)
         assert np.abs(draws - values[:2, None]).max() < 1e-6
+
+
+class TestConditionalRoot:
+    def test_full_rank_reproduces_the_conditional_covariance(self):
+        rng = np.random.default_rng(20)
+        sites = rng.uniform(0.1, 0.9, (12, 2))
+        pred = rng.uniform(0.1, 0.9, (30, 2))
+        cov = CovParams(1.2, 0.35, 0.4)
+        system = KrigingSystem(make_model(cov), sites, rng.normal(size=12), pred)
+        root = system.conditional_root()
+        assert root.shape == (30, 30)
+        assert_allclose(root @ root.T, dense_conditional_cov(cov, sites, pred),
+                        rtol=0, atol=1e-10 * (cov.sigma2 + cov.nugget))
+
+    def test_rank_deficient_reproduces_the_conditional_covariance(self):
+        # no nugget: two prediction sites are data sites and one is repeated
+        rng = np.random.default_rng(21)
+        sites = rng.uniform(0.1, 0.9, (12, 2))
+        other = rng.uniform(0.1, 0.9, (20, 2))
+        pred = np.vstack([other[:10], sites[[3, 7]], other[10:], other[4:5]])
+        cov = CovParams(1.2, 0.35, 0.0)
+        system = KrigingSystem(make_model(cov), sites, rng.normal(size=12), pred)
+        root = system.conditional_root()
+        assert root.shape == (23, 20)
+        assert_allclose(root @ root.T, dense_conditional_cov(cov, sites, pred),
+                        rtol=0, atol=1e-10 * cov.sigma2)
+
+    def test_semidefinite_matrix(self):
+        q, _ = np.linalg.qr(np.random.default_rng(22).normal(size=(5, 5)))
+        a = (q * [1.0, 0.6, 0.3, 0.1, 0.0]) @ q.T
+        root = psd_root(a, 1.0)
+        assert root.shape == (5, 4)
+        assert_allclose(root @ root.T, a, rtol=0, atol=1e-10)
+
+    def test_indefinite_matrix_raises(self):
+        q, _ = np.linalg.qr(np.random.default_rng(22).normal(size=(5, 5)))
+        a = 3.0 * (q * [1.0, 0.6, 0.3, 0.1, -1e-3]) @ q.T
+        with pytest.raises(NumericalError, match="not positive semidefinite"):
+            psd_root(a, 3.0)
+
+    def test_draws_have_the_conditional_covariance(self):
+        # the 5 + 3 split of test_conditional_gaussian_oracle; a root whose
+        # rows are not placed by the pivots has the right variances' mean
+        # but the wrong covariance
+        rng = np.random.default_rng(11)
+        sites = rng.uniform(0.1, 0.9, (5, 2))
+        pred = rng.uniform(0.1, 0.9, (3, 2))
+        cov = CovParams(1.2, 0.35, 0.4)
+        model = make_model(cov, mean=1.3)
+        values = rng.normal(size=5)
+        n = 40000
+        draws = conditional_simulate(model, sites, values, pred, n_draws=n, seed=23)
+        sig = dense_conditional_cov(cov, sites, pred)
+        d = np.diag(sig)
+        se = np.sqrt((np.outer(d, d) + sig**2) / n)
+        assert np.all(np.abs(np.cov(draws) - sig) <= 4 * se)
+
+    def test_repeated_sites_draw_alike_without_nugget(self):
+        rng = np.random.default_rng(24)
+        sites = rng.uniform(0.1, 0.9, (8, 2))
+        other = rng.uniform(0.1, 0.9, (4, 2))
+        pred = np.vstack([other, other[[2, 0]]])
+        model = make_model(CovParams(1.0, 0.3, 0.0))
+        draws = conditional_simulate(model, sites, rng.normal(size=8), pred, n_draws=200, seed=25)
+        assert np.std(draws[0]) > 0.1
+        assert_allclose(draws[[4, 5]], draws[[2, 0]], rtol=0, atol=1e-12)
