@@ -17,7 +17,7 @@ import scipy.sparse as sps
 
 from .errors import DomainError
 
-__all__ = ["KnotGrid", "design_matrix"]
+__all__ = ["KnotGrid", "design_matrix", "difference_penalty"]
 
 
 @dataclass(frozen=True)
@@ -129,3 +129,20 @@ def design_matrix(grid: KnotGrid, sites) -> sps.csr_matrix:
     w = sps.csr_matrix((vals.ravel(), (rows, cols.ravel())), shape=(n, grid.k1 * grid.k2))
     w.eliminate_zeros()
     return w
+
+
+def difference_penalty(grid: KnotGrid) -> np.ndarray:
+    """Second-difference penalty matrix for one coefficient matrix.
+
+    The tensor-product Eilers-Marx penalty on vec(theta) (column-major):
+    squared second differences along each axis.  Its null space holds
+    the bilinear coefficient patterns, so affine maps are unpenalized;
+    with two knots on both axes it is zero.
+    """
+
+    def second_diff(k):
+        d = np.diff(np.eye(k), n=2, axis=0)
+        return d.T @ d
+
+    return (np.kron(np.eye(grid.k2), second_diff(grid.k1))
+            + np.kron(second_diff(grid.k2), np.eye(grid.k1)))

@@ -56,7 +56,6 @@ HARNESS_DEFAULTS = {
     "epsilon": None,
     "tol": 1e-6,
     "max_outer": 10,
-    "ridge": None,
 }
 COMPARE_K = (4, 6, 8)
 # published smoothing parameters quoted for reference next to the
@@ -179,7 +178,7 @@ def cmd_compare(args) -> None:
     iu = np.triu_indices(len(sites), k=1)
     d2 = sample_dispersions(z)
     configs = [FitConfig(k1=k, k2=k, epsilon=cfg["epsilon"], tol=cfg["tol"],
-                         max_outer=cfg["max_outer"], ridge=cfg["ridge"]) for k in COMPARE_K]
+                         max_outer=cfg["max_outer"]) for k in COMPARE_K]
     # each thin-plate baseline matches the dof K^2, which must lie in (3, n)
     n = len(sites)
     if not all(3 < k * k < n for k in COMPARE_K):

@@ -106,7 +106,10 @@ def exp_covariance(d, params: CovParams, cross: bool = False) -> np.ndarray:
     carries the nugget on its diagonal; with ``cross`` it holds the
     distances between two sets, whose covariance has no nugget.
     """
-    c = params.sigma2 * np.exp(-d / params.phi)
+    # in place, so that no third array of the output's size is held
+    c = d / -params.phi
+    np.exp(c, out=c)
+    c *= params.sigma2
     if not cross:
         c[np.diag_indices_from(c)] += params.nugget
     return c

@@ -33,7 +33,7 @@ from scipy.linalg import blas, lapack, solve_triangular
 from scipy.optimize import minimize
 from scipy.spatial.distance import cdist, pdist
 
-from .basis import KnotGrid, design_matrix
+from .basis import KnotGrid, design_matrix, difference_penalty
 from .covariance import (
     CovParams,
     DispersionMatrix,
@@ -72,7 +72,6 @@ __all__ = [
     "FitDiagnostics",
     "SmoothnessPenalty",
     "difference_penalty",
-    "coef_fisher_information",
     "coef_objective",
     "replicate_loglik",
     "loglik",
@@ -181,7 +180,6 @@ class FitConfig:
     epsilon: float | None = None
     tol: float = 1e-6
     max_outer: int = 10
-    ridge: float | None = None
 
     def __post_init__(self):
         if not (self.k1 >= 2 and self.k2 >= 2):
@@ -389,23 +387,6 @@ def step_cov(dataset: Dataset, mapping, cov_init: CovParams) -> CovParams:
     return CovParams(sigma2=s2, phi=phi, nugget=float(xbest[1]) * s2)
 
 
-def difference_penalty(grid: KnotGrid) -> np.ndarray:
-    """Second-difference penalty matrix for one coefficient matrix.
-
-    The tensor-product Eilers-Marx penalty on vec(theta) (column-major):
-    squared second differences along each axis.  Its null space holds
-    the bilinear coefficient patterns, so affine maps are unpenalized;
-    with two knots on both axes it is zero.
-    """
-
-    def second_diff(k):
-        d = np.diff(np.eye(k), n=2, axis=0)
-        return d.T @ d
-
-    return (np.kron(np.eye(grid.k2), second_diff(grid.k1))
-            + np.kron(second_diff(grid.k2), np.eye(grid.k1)))
-
-
 @dataclass(frozen=True, eq=False)
 class SmoothnessPenalty:
     """Scale-free roughness ``q0 * (z'Sz) / (z'Qz)`` of stacked coefficients.
@@ -497,14 +478,6 @@ class _CoefObjective:
 def coef_objective(dataset: Dataset, cov: CovParams, grid: KnotGrid, lam: float = 0.0):
     """The negative penalized log-likelihood of ``_CoefObjective``."""
     return _CoefObjective(dataset, cov, grid, lam)
-
-
-def coef_fisher_information(dataset: Dataset, cov: CovParams, grid: KnotGrid,
-                            coef: CoefPair) -> np.ndarray:
-    """Expected information of the replicate likelihood for the stacked
-    coefficient vector, at fixed covariance parameters (see
-    ``_LikelihoodState.coef_information``)."""
-    return coef_objective(dataset, cov, grid).information(coef_to_vec(coef))
 
 
 # the weight update may move at most this factor away from its single
@@ -770,7 +743,7 @@ def fit(dataset: Dataset, config: FitConfig) -> DeformModel:
     d2 = sample_dispersions(dataset.replicates)
     mean = float(dataset.site_means().mean())
 
-    smoother = make_bspline_smoother(grid, epsilon=epsilon, ridge=config.ridge)
+    smoother = make_bspline_smoother(grid, epsilon=epsilon)
     try:
         with _noted_warnings(diag.messages, "pass 0"):
             init_config = sg_initialize(d2, dataset.sites, smoother, max_iter=SG_MAX_ITER,

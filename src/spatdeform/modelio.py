@@ -49,7 +49,6 @@ CONFIG_KEYS = {
     "epsilon": float,
     "tol": float,
     "max_outer": int,
-    "ridge": float,
     "seed": int,
     "t": int,
     "swirl_strength": float,

@@ -17,11 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, lapack
 from scipy.optimize import brentq
 from scipy.spatial.distance import cdist
 
-from .basis import KnotGrid, design_matrix
+from .basis import KnotGrid, design_matrix, difference_penalty
 from .deformation import (
     CoefPair,
     DeformationMap,
@@ -170,22 +170,56 @@ def make_tps_smoother(lam: float):
 # constrained tensor-product B-spline fit
 
 
-def _normal_equations(grid: KnotGrid, sites, targets, ridge: float):
-    """Gram matrix W'W + ridge I and right-hand sides W' targets."""
+# a rank-deficient design's Gram matrix gains kappa S, the second-difference
+# penalty weighted by kappa = ROUGHNESS_WEIGHT tr(W'W) / tr(S)
+ROUGHNESS_WEIGHT = 1e-6
+
+
+def _nonsingular(gram) -> bool:
+    """Whether the Cholesky factorization of ``gram`` succeeds with a
+    reciprocal condition number above the unit roundoff.
+
+    The condition test catches the exactly singular Gram matrices whose
+    factorization rounding lets through, such as those of collinear
+    sites.
+    """
+    chol, info = lapack.dpotrf(gram)
+    return info == 0 and lapack.dpocon(chol, np.linalg.norm(gram, 1))[0] > np.finfo(float).eps
+
+
+def _normal_equations(grid: KnotGrid, sites, targets):
+    """Gram matrix W'W and right-hand sides W' targets.
+
+    A nonsingular W'W is returned as it is.  A singular one (some basis
+    function has no site in its support, as in an irregular network
+    with empty knot cells) gains kappa S, with S the second-difference
+    penalty of ``difference_penalty``: the coefficients of empty cells
+    then follow their neighbours, and affine maps stay unpenalized.
+    Raises FitError when W'W + kappa S is still singular, for example
+    for collinear sites or when S is zero (two knots on both axes).
+    """
     w = design_matrix(grid, sites)
-    return (w.T @ w).toarray() + ridge * np.eye(w.shape[1]), np.asarray(w.T @ targets)
+    # C order: the product of the sparse factors converts to Fortran order
+    gram = np.ascontiguousarray((w.T @ w).toarray())
+    rhs = np.asarray(w.T @ targets)
+    if _nonsingular(gram):
+        return gram, rhs
+    s = difference_penalty(grid)
+    if s.any():
+        gram += (ROUGHNESS_WEIGHT * np.trace(gram) / np.trace(s)) * s
+        if _nonsingular(gram):
+            return gram, rhs
+    raise FitError(
+        f"rank-deficient design ({gram.shape[0]} coefficients, {len(sites)} sites): "
+        "the sites do not determine the map even with the roughness penalty"
+    )
 
 
-def unconstrained_bspline_fit(grid: KnotGrid, sites, targets, ridge: float = 0.0) -> CoefPair:
-    """Plain (ridge-regularized) least-squares coefficient fit."""
-    g, rhs = _normal_equations(grid, sites, np.asarray(targets, dtype=float), ridge)
-    try:
-        sol = scipy.linalg.solve(g, rhs, assume_a="pos")
-    except scipy.linalg.LinAlgError as e:
-        raise FitError(
-            f"rank-deficient design (K1*K2={g.shape[0]} coefficients, {len(sites)} sites); "
-            f"use a ridge term: {e}"
-        ) from None
+def unconstrained_bspline_fit(grid: KnotGrid, sites, targets) -> CoefPair:
+    """Least-squares coefficient fit, roughness-regularized on a
+    rank-deficient design (see ``_normal_equations``)."""
+    g, rhs = _normal_equations(grid, sites, np.asarray(targets, dtype=float))
+    sol = scipy.linalg.solve(g, rhs, assume_a="pos")
     return vec_to_coef(grid, sol.T.ravel())
 
 
@@ -356,24 +390,21 @@ def fit_bspline_constrained(
     sites,
     targets,
     epsilon: float | None = None,
-    ridge: float | None = None,
     max_iter: int = 300,
 ) -> CoefPair:
     """Least-squares coefficient fit subject to non-folding constraints.
 
     Minimizes the squared residual of the mapped sites against the
-    targets (plus an optional ridge term) subject to every corner
-    Jacobian being at least ``epsilon``.  When the unconstrained
-    optimum already satisfies the constraints it is returned directly.
+    targets subject to every corner Jacobian being at least ``epsilon``.
+    When the unconstrained optimum already satisfies the constraints it
+    is returned directly.
     Otherwise a primal-dual interior-point Newton solve
     (``_interior_point_ls``) starts from the blend of the unconstrained
     optimum and the affine feasible start (``_feasible_start``) nearest
     the optimum that keeps START_SLACK_FRACTION of the start's slack.
     The result is strictly feasible, its objective is no higher than the
-    feasible start's, and the returned pair is validated.
-
-    ``ridge`` defaults to 1e-8 n when the coefficients outnumber the
-    sites (rank deficiency), else 0.
+    feasible start's, and the returned pair is validated.  A
+    rank-deficient design is regularized as in ``_normal_equations``.
     """
     sites = np.asarray(sites, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -382,15 +413,12 @@ def fit_bspline_constrained(
         raise ValueError(f"targets must be ({n}, 2), got {targets.shape}")
     if epsilon is None:
         epsilon = default_epsilon(grid)
-    m = grid.k1 * grid.k2
-    if ridge is None:
-        ridge = 1e-8 * n if m > n else 0.0
 
-    unconstrained = unconstrained_bspline_fit(grid, sites, targets, ridge=ridge)
+    unconstrained = unconstrained_bspline_fit(grid, sites, targets)
     if corner_values(grid, unconstrained).min() >= epsilon:
         return CoefPair(unconstrained.theta1, unconstrained.theta2, validated=True)
 
-    gmat, cvec = _normal_equations(grid, sites, targets, ridge)
+    gmat, cvec = _normal_equations(grid, sites, targets)
     start = _feasible_start(grid, sites, targets, epsilon)
     start_slack = corner_values(grid, start).min() - epsilon
 
@@ -407,12 +435,11 @@ def fit_bspline_constrained(
     return vec_to_coef(grid, z, validated=True)
 
 
-def make_bspline_smoother(grid: KnotGrid, epsilon: float | None = None,
-                          ridge: float | None = None):
+def make_bspline_smoother(grid: KnotGrid, epsilon: float | None = None):
     """Coordinate smoother backed by the constrained B-spline fit."""
 
     def smoother(sites, targets):
-        coef = fit_bspline_constrained(grid, sites, targets, epsilon=epsilon, ridge=ridge)
+        coef = fit_bspline_constrained(grid, sites, targets, epsilon=epsilon)
         return eval_map_points(DeformationMap(grid, coef), sites)
 
     return smoother

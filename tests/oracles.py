@@ -4,7 +4,8 @@ package's vectorized kernels against.
 None of these is used by the package itself: the 1-d basis vectors, the
 skew-symmetric bilinear form A(x), the per-cell Jacobian, the corner
 functionals one by one, single-point map evaluation, the exponential
-correlation and a covariance step by finite differences.
+correlation, a covariance step by finite differences and the
+coefficients' Fisher information at given coefficients.
 """
 
 from __future__ import annotations
@@ -18,9 +19,15 @@ from scipy.spatial.distance import cdist
 
 from spatdeform.basis import KnotGrid, cell_and_local
 from spatdeform.covariance import CovParams, exp_covariance
-from spatdeform.deformation import CORNER_ORDER, CoefPair, DeformationMap, eval_map_points
+from spatdeform.deformation import (
+    CORNER_ORDER,
+    CoefPair,
+    DeformationMap,
+    coef_to_vec,
+    eval_map_points,
+)
 from spatdeform.errors import NumericalError
-from spatdeform.estimation import replicate_loglik
+from spatdeform.estimation import coef_objective, replicate_loglik
 
 
 def eval_basis(grid: KnotGrid, axis: int, x: float) -> np.ndarray:
@@ -199,3 +206,11 @@ def step_cov_fd(dataset, mapping, cov_init: CovParams) -> CovParams:
         candidates.append((res.fun, res.x))
     p = min(candidates, key=lambda c: c[0])[1]
     return CovParams(sigma2=float(p[0]), phi=float(p[1]), nugget=float(max(p[2], 0.0)))
+
+
+def coef_fisher_information(dataset, cov: CovParams, grid: KnotGrid,
+                            coef: CoefPair) -> np.ndarray:
+    """Expected information of the replicate likelihood for the stacked
+    coefficient vector, at fixed covariance parameters (see
+    ``_LikelihoodState.coef_information``)."""
+    return coef_objective(dataset, cov, grid).information(coef_to_vec(coef))

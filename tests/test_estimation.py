@@ -29,7 +29,6 @@ from spatdeform.estimation import (
     SmoothnessPenalty,
     _LikelihoodState,
     _penalty_update,
-    coef_fisher_information,
     coef_objective,
     difference_penalty,
     fit,
@@ -42,7 +41,7 @@ from spatdeform.estimation import (
 from spatdeform.fields import Swirl, simulate_grf
 from spatdeform.smoothers import unconstrained_bspline_fit
 
-from oracles import IdentityMap, step_cov_fd
+from oracles import IdentityMap, coef_fisher_information, step_cov_fd
 
 
 def grid_sites(n_side, lo=0.0, hi=1.0):
@@ -658,6 +657,15 @@ class TestFit:
         assert d.penalty_weights[0] == 0.0
         assert all(np.isfinite(v) and v > 0 for v in d.penalty_weights[1:])
         assert 0 < d.effective_dof < 2 * 16 - 3
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_fits_a_network_with_empty_knot_cells(self):
+        # at K=6 some basis function of this draw has no site in its support
+        sites = np.random.default_rng(4).uniform(size=(60, 2))
+        z = simulate_grf(sites, Swirl(), CovParams(1.0, 0.25, 1.0), t=100, seed=4)
+        model = fit(Dataset(sites, z), FitConfig(k1=6, k2=6))
+        assert model.diagnostics.converged
+        assert corner_values(model.grid, model.coef).min() >= default_epsilon(model.grid)
 
     def test_requires_validated_coef(self):
         grid = KnotGrid(0.0, 1.0, 0.0, 1.0, 4, 4)

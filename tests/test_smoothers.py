@@ -9,6 +9,7 @@ from spatdeform.deformation import (
     CoefPair,
     DeformationMap,
     corner_values,
+    default_epsilon,
     eval_map_points,
     identity_coef,
     min_jacobian,
@@ -124,21 +125,31 @@ class TestUnconstrainedFit:
         assert_allclose(fitted.theta1, coef.theta1, atol=1e-9)
         assert_allclose(fitted.theta2, coef.theta2, atol=1e-9)
 
-    def test_rank_deficient_needs_ridge(self):
+    def test_rank_deficient_design_recovers_identity(self):
+        # 9 sites < 36 coefficients: the roughness penalty fills the empty
+        # cells, and costs nothing on the affine identity
         grid = KnotGrid(0.0, 1.0, 0.0, 1.0, 6, 6)
-        sites = grid_sites(3)  # 9 sites < 36 coefficients
-        targets = sites.copy()
-        with pytest.raises(FitError):
-            unconstrained_bspline_fit(grid, sites, targets)
-        fitted = unconstrained_bspline_fit(grid, sites, targets, ridge=1e-8)
-        assert np.all(np.isfinite(fitted.theta1))
+        sites = grid_sites(3)
+        fitted = unconstrained_bspline_fit(grid, sites, sites.copy())
+        truth = identity_coef(grid)
+        assert_allclose(fitted.theta1, truth.theta1, atol=1e-9)
+        assert_allclose(fitted.theta2, truth.theta2, atol=1e-9)
+
+    @pytest.mark.filterwarnings("error")
+    def test_collinear_sites_with_two_knots_raise(self):
+        # with two knots on both axes the roughness penalty is zero
+        grid = KnotGrid(0.0, 1.0, 0.0, 1.0, 2, 2)
+        t = np.linspace(0.0, 1.0, 7)
+        sites = np.column_stack([t, t])
+        with pytest.raises(FitError, match="rank-deficient"):
+            unconstrained_bspline_fit(grid, sites, sites.copy())
 
 
 class TestConstrainedFit:
     def test_identity_targets_recovered(self):
         grid = KnotGrid(0.0, 1.0, 0.0, 1.0, 4, 4)
         sites = grid_sites(7)
-        coef = fit_bspline_constrained(grid, sites, sites.copy(), epsilon=1e-3, ridge=0.0)
+        coef = fit_bspline_constrained(grid, sites, sites.copy(), epsilon=1e-3)
         assert coef.validated
         w = design_matrix(grid, sites)
         fitted = np.column_stack([
@@ -280,6 +291,20 @@ class TestConstrainedFit:
         coef = fit_bspline_constrained(grid, sites, sites.copy())
         assert coef.validated
         assert np.all(np.isfinite(coef.theta1))
+
+
+def test_irregular_networks_with_empty_cells_fit():
+    # 60 uniform sites at K=6 leave some basis function without a site in
+    # its support in 9 of these 20 draws
+    for seed in range(20):
+        sites = np.random.default_rng(seed).uniform(size=(60, 2))
+        lo, hi = sites.min(axis=0), sites.max(axis=0)
+        grid = KnotGrid(lo[0], hi[0], lo[1], hi[1], 6, 6)
+        targets = Swirl()(sites)
+        fitted = make_bspline_smoother(grid)(sites, targets)
+        coef = fit_bspline_constrained(grid, sites, targets)
+        assert corner_values(grid, coef).min() >= default_epsilon(grid)
+        np.testing.assert_array_equal(fitted, eval_map_points(DeformationMap(grid, coef), sites))
 
 
 def test_bspline_smoother_returns_fitted_points():
