@@ -37,7 +37,8 @@ from .errors import (
     NumericalError,
 )
 from .estimation import Dataset, FitConfig, fit
-from .fields import KrigingSystem, Swirl, krige, simulate_grf
+# krige is bound here only for bench/test_bench.py, which reads cli.krige
+from .fields import KrigingSystem, Swirl, krige, simulate_grf  # noqa: F401
 from .scaling import sg_initialize
 from .smoothers import fit_tps, make_tps_smoother, tps_effective_dof, tps_lambda_for_dof
 
@@ -126,12 +127,9 @@ def cmd_predict(args) -> None:
         raise DataError(f"time label {args.time!r} not in the data "
                         f"(available: {', '.join(dataset.times)})")
     values = dataset.replicates[:, dataset.times.index(args.time)]
-    if args.draws > 0:
-        # the prediction and the draws share one kriging system
-        system = KrigingSystem(model, dataset.sites, values, pred_sites)
-        result = system.krige()
-    else:
-        result = krige(model, dataset.sites, values, pred_sites)
+    # the prediction and the draws share one kriging system
+    system = KrigingSystem(model, dataset.sites, values, pred_sites)
+    result = system.krige()
     out = Path(args.out)
     modelio.write_prediction_csv(out, pred_sites, result.mean, result.variance)
     print(f"wrote {out} ({len(pred_sites)} prediction sites, period {args.time})")

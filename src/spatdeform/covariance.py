@@ -56,12 +56,9 @@ class VariogramModel:
     nugget: float
     psill: float
     range_: float
-    family: str = "exponential"
     rss: float = float("nan")
 
     def __post_init__(self):
-        if self.family != "exponential":
-            raise ValueError(f"unsupported variogram family {self.family!r}")
         if self.nugget < 0 or self.psill <= 0 or self.range_ <= 0:
             raise ValueError(
                 f"variogram parameters out of range: nugget={self.nugget}, "
@@ -165,14 +162,18 @@ def sample_dispersions(replicates) -> DispersionMatrix:
     return DispersionMatrix(d2)
 
 
-def _bin_pairs(h: np.ndarray, d2: np.ndarray, n_bins: int):
-    """Equal-width distance bins; returns (mean h, mean d2, count) per
-    nonempty bin."""
+# every variogram fit pools the pairs into this many equal-width distance bins
+VARIOGRAM_BINS = 15
+
+
+def _bin_pairs(h: np.ndarray, d2: np.ndarray):
+    """VARIOGRAM_BINS equal-width distance bins; returns (mean h, mean d2,
+    count) per nonempty bin."""
     lo, hi = h.min(), h.max()
-    edges = np.linspace(lo, hi, n_bins + 1)
-    idx = np.clip(np.digitize(h, edges[1:-1]), 0, n_bins - 1)
+    edges = np.linspace(lo, hi, VARIOGRAM_BINS + 1)
+    idx = np.clip(np.digitize(h, edges[1:-1]), 0, VARIOGRAM_BINS - 1)
     hb, gb, nb = [], [], []
-    for b in range(n_bins):
+    for b in range(VARIOGRAM_BINS):
         mask = idx == b
         if not np.any(mask):
             continue
@@ -182,11 +183,11 @@ def _bin_pairs(h: np.ndarray, d2: np.ndarray, n_bins: int):
     return np.array(hb), np.array(gb), np.array(nb)
 
 
-def fit_variogram(h, d2, n_bins: int = 15) -> VariogramModel:
+def fit_variogram(h, d2) -> VariogramModel:
     """Weighted least-squares exponential variogram fit.
 
-    Pairs are pooled into equal-width distance bins (empty bins
-    dropped) and the residuals are weighted Cressie-style by
+    Pairs are pooled into VARIOGRAM_BINS equal-width distance bins
+    (empty bins dropped) and the residuals are weighted Cressie-style by
     sqrt(N_j) / g(h_j).  Raises FitError when the pairs carry no usable
     structure (fewer than 3 distinct distances, or a flat d2 profile
     driving the sill to zero).
@@ -197,7 +198,7 @@ def fit_variogram(h, d2, n_bins: int = 15) -> VariogramModel:
         raise ValueError("h and d2 must have equal length")
     if np.unique(h).size < 3:
         raise FitError(f"variogram fit needs >= 3 distinct distances, got {np.unique(h).size}")
-    hb, gb, nb = _bin_pairs(h, d2, n_bins)
+    hb, gb, nb = _bin_pairs(h, d2)
     gmax = gb.max()
     if gmax <= 0 or (gb.max() - gb.min()) <= 1e-12 * max(gmax, 1.0):
         raise FitError("dispersions show no spatial structure (flat variogram)")

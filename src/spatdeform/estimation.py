@@ -1,13 +1,16 @@
 """Alternating estimation of covariance parameters and deformation.
 
-The dispersions are re-embedded only once, when the fit is initialized
-(Sampson & Guttorp 1992).  After that, one outer iteration holds the
-deformation fixed while maximizing the Gaussian replicate likelihood
-over the covariance parameters, then holds those fixed while ascending
-the likelihood over the coefficient matrices from the incumbent ones,
-and finally removes the gauge freedom (shift/rotation/scale of the
-deformed plane, with the range co-scaled) by aligning the fitted
-coordinates to the sites.
+The fit starts from the identity map, with the covariance of the
+variogram that the sample dispersions trace against the sites' own
+distances.  One outer iteration then holds the deformation fixed while
+maximizing the Gaussian replicate likelihood over the covariance
+parameters, then holds those fixed while ascending the likelihood over
+the coefficient matrices from the incumbent ones, and finally removes
+the gauge freedom (shift/rotation/scale of the deformed plane, with the
+range co-scaled) by aligning the fitted coordinates to the sites.
+Sampson & Guttorp's (1992) dispersion embedding is not run: its
+configuration could reach the passes only as an affine start, which
+the first pass and the gauge normalization reduce to the identity.
 
 The covariance step writes the covariance as sigma2 (R_phi + g I), with
 g the nugget-to-sill ratio, profiles sigma2 out in closed form and
@@ -52,6 +55,7 @@ from .deformation import (
     corner_values,
     default_epsilon,
     fitted_coords,
+    identity_coef,
     transform_coef,
     vec_to_coef,
 )
@@ -62,8 +66,7 @@ from .errors import (
     NumericalError,
     SpatdeformError,
 )
-from .scaling import ProcrustesTransform, configuration_stress, procrustes, sg_initialize
-from .smoothers import _feasible_start, make_bspline_smoother
+from .scaling import ProcrustesTransform, procrustes
 
 __all__ = [
     "Dataset",
@@ -140,11 +143,9 @@ class FitDiagnostics:
 
     loglik: list[float] = field(default_factory=list)
     margins: list[float] = field(default_factory=list)
-    init_stress: float = float("nan")
     iterations: int = 0
     converged: bool = False
-    # each optimizer warning raised inside fit, as "pass N: <message>";
-    # pass 0 is the initialization
+    # each optimizer warning raised inside fit, as "pass N: <message>"
     messages: list[str] = field(default_factory=list)
     # smoothness-penalty weight used in each outer iteration, and the
     # effective degrees of freedom tr((I + lam S)^+ I) of the returned fit
@@ -190,14 +191,6 @@ class FitConfig:
             raise DataError(f"tolerance must be >= 0, got {self.tol}")
         if not self.max_outer >= 1:
             raise DataError(f"max_outer must be >= 1, got {self.max_outer}")
-
-
-# the initialization's coordinate-update loop runs at most SG_MAX_ITER
-# passes and stops once the relative stress change falls below SG_TOL;
-# every variogram the fit makes pools the pairs into VARIOGRAM_BINS bins
-SG_MAX_ITER = 10
-SG_TOL = 1e-6
-VARIOGRAM_BINS = 15
 
 
 class _LikelihoodState:
@@ -506,6 +499,9 @@ def _penalty_update(lam: float, info: np.ndarray, penalty: SmoothnessPenalty,
     tr((I + lam S)^+ I) at the current weight.  The pseudo-inverses
     drop the gauge directions (shifts) on which both I and S vanish.
     The weight stays 0 when S is zero and keeps its value when z'Sz = 0.
+    It also keeps its value, with 0 effective degrees of freedom, when I
+    is zero (every off-diagonal correlation underflowed) or so small that
+    the weights it implies overflow.
     """
     s = penalty.matrix(z)
     # simultaneous diagonalization: in the basis g, I + l S is
@@ -514,7 +510,11 @@ def _penalty_update(lam: float, info: np.ndarray, penalty: SmoothnessPenalty,
     beta, v = np.linalg.eigh(info + alpha * s)
     keep = beta > 1e-9 * beta.max()
     whiten = v[:, keep] / np.sqrt(beta[keep])
-    sig, u = np.linalg.eigh(whiten.T @ s @ whiten)
+    with np.errstate(over="ignore", invalid="ignore"):
+        whitened = whiten.T @ s @ whiten
+    if not (keep.any() and np.all(np.isfinite(whitened))):
+        return lam, 0.0
+    sig, u = np.linalg.eigh(whitened)
     sig = np.clip(sig, 0.0, 1.0 / alpha)
     g = whiten @ u
     a = 1.0 - alpha * sig
@@ -595,6 +595,10 @@ def refine_coords_ml(
     if lam > 0:
         metric += lam * evaluate.penalty.matrix(z0)
     beta, v = np.linalg.eigh(metric)
+    if not beta.max() > 0:
+        # zero information means every dC/dz vanishes (the off-diagonal
+        # correlations underflowed): the objective is flat, with no ascent
+        return vec_to_coef(grid, z0, validated=True)
     scale = v / np.sqrt(np.maximum(beta, PRECONDITION_FLOOR * beta.max()))
 
     def to_z(u):
@@ -656,19 +660,26 @@ def _grid_from_sites(sites: np.ndarray, k1: int, k2: int) -> KnotGrid:
     return KnotGrid(lo[0], hi[0], lo[1], hi[1], k1, k2)
 
 
-def _initial_cov(dataset: Dataset, fitted: np.ndarray,
-                 dispersions: DispersionMatrix) -> CovParams:
+def _initial_cov(dataset: Dataset, dispersions: DispersionMatrix) -> CovParams:
+    """Covariance of the variogram fitted to the dispersions against the
+    sites' own distances, the starting covariance of the identity map.
+
+    The full variogram is twice the covariance's, so its partial sill and
+    nugget are halved; the range is held within [1e-4, 10] times the
+    sites' diameter.  Raises FitError when the variogram fit fails.
+    """
     v = float(np.mean(np.var(dataset.replicates, axis=1, ddof=1)))
-    diam = float(pdist(fitted).max())
+    h = pdist(dataset.sites)
+    diam = float(h.max())
     try:
-        g = fit_variogram(pdist(fitted), dispersions.upper(), n_bins=VARIOGRAM_BINS)
-        return CovParams(
-            sigma2=max(0.5 * g.psill, 1e-4 * v),
-            phi=min(max(g.range_, 1e-4 * diam), 10.0 * diam),
-            nugget=max(0.5 * g.nugget, 0.0),
-        )
-    except FitError:
-        return CovParams(sigma2=0.5 * v, phi=0.25 * diam, nugget=0.5 * v)
+        g = fit_variogram(h, dispersions.upper())
+    except FitError as e:
+        raise FitError(f"initialization failed: {e}") from e
+    return CovParams(
+        sigma2=max(0.5 * g.psill, 1e-4 * v),
+        phi=min(max(g.range_, 1e-4 * diam), 10.0 * diam),
+        nugget=max(0.5 * g.nugget, 0.0),
+    )
 
 
 # the margin lift aims this factor above epsilon, so that rounding in the
@@ -716,44 +727,30 @@ def _noted_warnings(messages: list[str], label: str):
 def fit(dataset: Dataset, config: FitConfig) -> DeformModel:
     """Full alternating fit on a dataset.
 
-    Initializes the deformed coordinates with the dispersion-driven
-    coordinate-update loop (B-spline smoother), the only place the
-    dispersions are re-embedded.  The first coefficients are the
-    feasible affine start of that configuration (``_feasible_start``:
-    its affine least-squares fit, else its similarity fit, else the
-    shifted identity); the likelihood ascent starts better from it than
-    from the constrained least-squares fit, whose corners sit on the
-    margin.  Then it alternates the covariance step, the likelihood
-    ascent over the coefficients from the incumbent ones and gauge
-    normalization until the relative change of the penalized
-    log-likelihood drops below ``tol`` or ``max_outer`` is reached.  The
-    smoothness-penalty weight starts at 0 and is re-estimated after
-    every gauge normalization by the generalized Fellner-Schall update,
-    using the coefficients' Fisher information at the current covariance
-    parameters.  Every returned model, the best model of a FitError
-    included, has min corner |J| >= epsilon.  Each optimizer warning
-    raised inside is issued again and recorded in the diagnostics'
-    ``messages`` as "pass N: <message>" (pass 0 is the initialization).
-    Raises FitError carrying the iteration index (and the best model so
-    far, when one exists) on failure.
+    Starts from the identity map, whose corner |J| = 1 must clear
+    epsilon (else InfeasibilityError), and from the covariance of
+    ``_initial_cov`` (a FitError when its variogram fit fails).  Then it
+    alternates the covariance step, the likelihood ascent over the
+    coefficients from the incumbent ones and gauge normalization until
+    the relative change of the penalized log-likelihood drops below
+    ``tol`` or ``max_outer`` is reached.  The smoothness-penalty weight
+    starts at 0 and is re-estimated after every gauge normalization by
+    the generalized Fellner-Schall update, using the coefficients'
+    Fisher information at the current covariance parameters.  Every
+    returned model, the best model of a FitError included, has min
+    corner |J| >= epsilon.  Each optimizer warning raised inside is
+    issued again and recorded in the diagnostics' ``messages`` as
+    "pass N: <message>".  Raises FitError carrying the iteration index
+    (and the best model so far, when one exists) on failure.
     """
     grid = _grid_from_sites(dataset.sites, config.k1, config.k2)
     epsilon = config.epsilon if config.epsilon is not None else default_epsilon(grid)
+    coef = identity_coef(grid)
+    if not corner_values(grid, coef).min() > epsilon:
+        raise InfeasibilityError(
+            f"the identity map's corner |J| = 1 does not clear the margin {epsilon}")
     diag = FitDiagnostics()
-    d2 = sample_dispersions(dataset.replicates)
     mean = float(dataset.site_means().mean())
-
-    smoother = make_bspline_smoother(grid, epsilon=epsilon)
-    try:
-        with _noted_warnings(diag.messages, "pass 0"):
-            init_config = sg_initialize(d2, dataset.sites, smoother, max_iter=SG_MAX_ITER,
-                                        tol=SG_TOL, n_bins=VARIOGRAM_BINS)
-        diag.init_stress = configuration_stress(d2, init_config)
-        coef = _feasible_start(grid, dataset.sites, init_config.points, epsilon)
-    except InfeasibilityError:
-        raise
-    except SpatdeformError as e:
-        raise FitError(f"initialization failed: {e}") from e
 
     penalty = SmoothnessPenalty.for_sites(grid, dataset.sites)
     lam = 0.0
@@ -761,7 +758,7 @@ def fit(dataset: Dataset, config: FitConfig) -> DeformModel:
     def roughness(c):
         return 0.5 * lam * penalty.value_and_grad(coef_to_vec(c))[0] if lam > 0 else 0.0
 
-    cov = _initial_cov(dataset, DeformationMap(grid, coef)(dataset.sites), d2)
+    cov = _initial_cov(dataset, sample_dispersions(dataset.replicates))
     prev_pll = loglik(dataset, DeformationMap(grid, coef), cov)
     centre = dataset.sites.mean(axis=0)
     # (loglik, coef, cov, pass) of the iterate with the highest penalized

@@ -115,7 +115,6 @@ def load_model(path) -> DeformModel:
         diag = FitDiagnostics(
             loglik=list(d["loglik"]),
             margins=list(d["constraint_margins"]),
-            init_stress=d["init_stress"],
             iterations=d["iterations"],
             converged=d["converged"],
             messages=list(d["messages"]),

@@ -188,9 +188,10 @@ def sg_initialize(
     smoother: Smoother,
     max_iter: int = 50,
     tol: float = 1e-6,
-    n_bins: int = 15,
 ) -> Configuration:
-    """Coordinate-update loop producing an initial deformed configuration.
+    """Coordinate-update loop producing a deformed configuration (Sampson
+    & Guttorp 1992), the baseline that ``compare`` runs with a thin-plate
+    smoother.
 
     Starting from classical scaling of the isotonically rescaled
     dispersions, each pass smooths the coordinates over the geographic
@@ -226,7 +227,7 @@ def sg_initialize(
     for it in range(max_iter):
         try:
             smoothed = np.asarray(smoother(sites, config.points), dtype=float)
-            model = fit_variogram(pdist(smoothed), d2u, n_bins=n_bins)
+            model = fit_variogram(pdist(smoothed), d2u)
             h = variogram_inverse(model, dispersions.values)
             np.fill_diagonal(h, 0.0)
             new_config = normalized(classical_mds(h))

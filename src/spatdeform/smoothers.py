@@ -24,14 +24,12 @@ from scipy.spatial.distance import cdist
 from .basis import KnotGrid, design_matrix, difference_penalty
 from .deformation import (
     CoefPair,
-    DeformationMap,
     _corner_tables,
     _corner_values_and_jac,
     affine_coef,
     coef_to_vec,
     corner_values,
     default_epsilon,
-    eval_map_points,
     vec_to_coef,
 )
 from .errors import FitError, InfeasibilityError
@@ -44,7 +42,6 @@ __all__ = [
     "make_tps_smoother",
     "unconstrained_bspline_fit",
     "fit_bspline_constrained",
-    "make_bspline_smoother",
 ]
 
 
@@ -433,13 +430,3 @@ def fit_bspline_constrained(
     z = _interior_point_ls(grid, gmat, cvec, float(np.sum(targets**2)), z_unc, z0,
                            epsilon, max_iter)
     return vec_to_coef(grid, z, validated=True)
-
-
-def make_bspline_smoother(grid: KnotGrid, epsilon: float | None = None):
-    """Coordinate smoother backed by the constrained B-spline fit."""
-
-    def smoother(sites, targets):
-        coef = fit_bspline_constrained(grid, sites, targets, epsilon=epsilon)
-        return eval_map_points(DeformationMap(grid, coef), sites)
-
-    return smoother

@@ -4,8 +4,9 @@ package's vectorized kernels against.
 None of these is used by the package itself: the 1-d basis vectors, the
 skew-symmetric bilinear form A(x), the per-cell Jacobian, the corner
 functionals one by one, single-point map evaluation, the exponential
-correlation, a covariance step by finite differences and the
-coefficients' Fisher information at given coefficients.
+correlation, a covariance step by finite differences, the
+coefficients' Fisher information at given coefficients and a
+coordinate smoother backed by the constrained B-spline fit.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from spatdeform.deformation import (
 )
 from spatdeform.errors import NumericalError
 from spatdeform.estimation import coef_objective, replicate_loglik
+from spatdeform.smoothers import fit_bspline_constrained
 
 
 def eval_basis(grid: KnotGrid, axis: int, x: float) -> np.ndarray:
@@ -214,3 +216,13 @@ def coef_fisher_information(dataset, cov: CovParams, grid: KnotGrid,
     coefficient vector, at fixed covariance parameters (see
     ``_LikelihoodState.coef_information``)."""
     return coef_objective(dataset, cov, grid).information(coef_to_vec(coef))
+
+
+def make_bspline_smoother(grid: KnotGrid, epsilon: float | None = None):
+    """Coordinate smoother backed by the constrained B-spline fit."""
+
+    def smoother(sites, targets):
+        coef = fit_bspline_constrained(grid, sites, targets, epsilon=epsilon)
+        return eval_map_points(DeformationMap(grid, coef), sites)
+
+    return smoother

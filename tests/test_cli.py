@@ -93,6 +93,21 @@ class TestEstimate:
         ])
         assert rc == 4
 
+    @pytest.mark.parametrize("seed", [0, 8])
+    def test_white_noise_stations_end_without_a_traceback(self, workdir, capsys, seed):
+        # five white-noise stations: the fitted range can shrink until every
+        # off-diagonal correlation underflows and the coefficients carry no
+        # information, as at seed 8
+        sites = np.random.default_rng(seed).uniform(size=(5, 2))
+        z = np.random.default_rng(100 + seed).normal(size=(5, 30))
+        data = workdir / f"white_noise{seed}.csv"
+        modelio.write_long_csv(data, sites, [f"s{i}" for i in range(5)],
+                               [f"t{j:02d}" for j in range(30)], z)
+        rc = main(["estimate", "--data", str(data), "--k", "3",
+                   "--out", str(workdir / f"white_noise{seed}.json")])
+        assert rc in (0, 3)
+        assert "Traceback" not in capsys.readouterr().err
+
 
 class TestBadSettings:
     # every setting out of range is a data error: exit code 2, one line on

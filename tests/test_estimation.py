@@ -329,6 +329,17 @@ class TestRefineCoordsMl:
         assert not any("iteration limit" in m for m in messages), messages
         assert np.array_equal(coef_to_vec(refined), coef_to_vec(start))
 
+    def test_zero_information_returns_the_start(self, problem):
+        # a range far below the site spacing underflows every off-diagonal
+        # correlation: no coefficient moves the covariance
+        ds, _, grid = problem
+        cov = CovParams(1.0, 1e-4, 0.5)
+        start = wobbled(grid, np.random.default_rng(27))
+        assert not coef_fisher_information(ds, cov, grid, start).any()
+        refined = refine_coords_ml(ds, cov, grid, start, epsilon=1e-3)
+        assert refined.validated
+        assert np.array_equal(coef_to_vec(refined), coef_to_vec(start))
+
 
 def wobbled(grid, rng, amount=0.05):
     base = identity_coef(grid)
@@ -547,6 +558,19 @@ class TestFisherInformation:
         assert pen2.rank == 0
         assert _penalty_update(3.0, info2, pen2, coef_to_vec(coef2))[0] == 0.0
 
+    def test_weight_update_without_information_keeps_the_weight(self, swirl_problem):
+        # zero information (every off-diagonal correlation underflowed) and
+        # information so small that the weights it implies overflow
+        ds, _, grid = swirl_problem
+        coef = wobbled(grid, np.random.default_rng(28))
+        pen = SmoothnessPenalty.for_sites(grid, ds.sites)
+        z = coef_to_vec(coef)
+        info = coef_fisher_information(ds, CovParams(1.0, 1e-4, 0.5), grid, coef)
+        assert not info.any() and z @ pen.matrix(z) @ z > 0
+        assert _penalty_update(7.0, info, pen, z) == (7.0, 0.0)
+        tiny = 1e-310 * coef_fisher_information(ds, CovParams(1.0, 0.3, 0.5), grid, coef)
+        assert _penalty_update(7.0, tiny, pen, z) == (7.0, 0.0)
+
     def test_weight_update_is_the_fixed_point_on_the_quadratic_model(self, swirl_problem):
         ds, cov, grid = swirl_problem
         lam = 2.0
@@ -730,31 +754,29 @@ class TestFit:
         expected = iterates[int(np.argmax(pll))]
         assert np.array_equal(coef_to_vec(best.coef), coef_to_vec(expected))
 
-    def test_no_constrained_least_squares_after_initialization(
-            self, stationary_dataset, monkeypatch):
-        # the dispersions are re-embedded and smoothed only by sg_initialize;
-        # the outer passes start from its affine fit and ascend the likelihood
-        import spatdeform.estimation as est
-        import spatdeform.smoothers as smoothers
+    def test_no_constrained_least_squares_after_initialization(self, stationary_dataset):
+        # fit starts from the identity map: it neither embeds the dispersions
+        # nor solves a constrained least-squares problem
+        import sys
 
-        real_fit_ls, real_init = smoothers.fit_bspline_constrained, est.sg_initialize
-        calls = {"n": 0, "after_init": None}
+        from spatdeform.scaling import sg_initialize
+        from spatdeform.smoothers import fit_bspline_constrained
 
-        def counting_fit_ls(*args, **kwargs):
-            calls["n"] += 1
-            return real_fit_ls(*args, **kwargs)
+        called = set()
 
-        def recording_init(*args, **kwargs):
-            out = real_init(*args, **kwargs)
-            calls["after_init"] = calls["n"]
-            return out
+        def record(frame, event, arg):
+            if event == "call":
+                called.add(frame.f_code)
 
-        monkeypatch.setattr(smoothers, "fit_bspline_constrained", counting_fit_ls)
-        monkeypatch.setattr(est, "sg_initialize", recording_init)
-        model = est.fit(stationary_dataset, FitConfig(k1=4, k2=4, tol=0.0, max_outer=3))
+        sys.setprofile(record)
+        try:
+            model = fit(stationary_dataset, FitConfig(k1=4, k2=4, tol=0.0, max_outer=3))
+        finally:
+            sys.setprofile(None)
         assert model.diagnostics.iterations == 3
-        assert calls["after_init"] is not None
-        assert calls["n"] == calls["after_init"]
+        assert refine_coords_ml.__code__ in called
+        assert sg_initialize.__code__ not in called
+        assert fit_bspline_constrained.__code__ not in called
 
     def test_optimizer_warnings_are_recorded(self, stationary_dataset, monkeypatch,
                                              tmp_path):

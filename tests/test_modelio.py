@@ -20,7 +20,6 @@ def make_model(rng):
     diag = FitDiagnostics(
         loglik=[-123.456789012345678, -120.1],
         margins=[0.987654321234567, 0.99],
-        init_stress=0.0123456789,
         iterations=2,
         converged=True,
         messages=["step_cov fallback at iteration 1"],
@@ -66,6 +65,21 @@ class TestModelFile:
         loaded = modelio.load_model(path)
         assert loaded.diagnostics.penalty_weights == []
         assert np.isnan(loaded.diagnostics.effective_dof)
+
+    def test_file_with_initialization_stress_loads(self, tmp_path):
+        # files written while fit began with the dispersion embedding carry
+        # its stress, which the diagnostics no longer hold
+        import json
+
+        model = make_model(np.random.default_rng(4))
+        path = tmp_path / "model.json"
+        modelio.save_model(model, path)
+        payload = json.loads(path.read_text())
+        payload["diagnostics"]["init_stress"] = 0.0123456789
+        path.write_text(json.dumps(payload))
+        loaded = modelio.load_model(path)
+        assert loaded.diagnostics == model.diagnostics
+        assert np.array_equal(loaded.coef.theta1, model.coef.theta1)
 
     def test_double_roundtrip_stable(self, tmp_path):
         rng = np.random.default_rng(1)

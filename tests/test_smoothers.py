@@ -19,11 +19,12 @@ from spatdeform.fields import Swirl
 from spatdeform.smoothers import (
     fit_bspline_constrained,
     fit_tps,
-    make_bspline_smoother,
     tps_effective_dof,
     tps_lambda_for_dof,
     unconstrained_bspline_fit,
 )
+
+from oracles import make_bspline_smoother
 
 
 def grid_sites(n_side, lo=0.0, hi=1.0):
