@@ -35,7 +35,6 @@ from .estimation import (
     fit,
     loglik,
     normalize_gauge,
-    step_cov,
 )
 from .fields import Swirl, conditional_simulate, krige, simulate_grf
 from .scaling import (

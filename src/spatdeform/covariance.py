@@ -124,9 +124,12 @@ def covariance_matrix(sites, mapping, params: CovParams) -> np.ndarray:
 
 def factor_covariance(c: np.ndarray) -> tuple[np.ndarray, bool]:
     """Lower Cholesky factor in ``scipy.linalg.cho_factor`` form, raising
-    NumericalError when the matrix is not positive definite."""
+    NumericalError when the matrix is not finite or not positive
+    definite."""
+    if not np.isfinite(c).all():
+        raise NumericalError("covariance matrix has non-finite entries")
     try:
-        return cho_factor(c, lower=True)
+        return cho_factor(c, lower=True, check_finite=False)
     except np.linalg.LinAlgError as e:
         raise NumericalError(f"covariance matrix is not positive definite: {e}") from None
 

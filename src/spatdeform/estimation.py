@@ -1,23 +1,25 @@
-"""Alternating estimation of covariance parameters and deformation.
+"""Alternating estimation of the deformation and its covariance.
 
 The fit starts from the identity map, with the covariance of the
 variogram that the sample dispersions trace against the sites' own
-distances.  One outer iteration then holds the deformation fixed while
-maximizing the Gaussian replicate likelihood over the covariance
-parameters, then holds those fixed while ascending the likelihood over
-the coefficient matrices from the incumbent ones, and finally removes
-the gauge freedom (shift/rotation/scale of the deformed plane, with the
-range co-scaled) by aligning the fitted coordinates to the sites.
-Sampson & Guttorp's (1992) dispersion embedding is not run: its
-configuration could reach the passes only as an affine start, which
-the first pass and the gauge normalization reduce to the identity.
+distances.  One outer iteration then ascends the likelihood over the
+coefficient matrices and the nugget-to-sill ratio together, from the
+incumbent ones, and finally removes the gauge freedom
+(shift/rotation/scale of the deformed plane, with the range co-scaled)
+by aligning the fitted coordinates to the sites.  Sampson & Guttorp's
+(1992) dispersion embedding is not run: its configuration could reach
+the passes only as an affine start, which the first pass and the gauge
+normalization reduce to the identity.
 
-The covariance step writes the covariance as sigma2 (R_phi + g I), with
-g the nugget-to-sill ratio, profiles sigma2 out in closed form and
-searches (log phi, g) in a box with the exact gradient of the profiled
-likelihood (Mardia & Marshall 1984).
+The ascent writes the covariance as sigma2 (R_phi + g I), with g the
+nugget-to-sill ratio, and profiles sigma2 out in closed form (Mardia &
+Marshall 1984).  The range phi is held within the ascent: a common
+scale of the coefficients and of phi gives the same covariance, so the
+scale of the map carries the range, and the gauge normalization hands
+it back to phi.  The non-folding margin is taken in the normalized
+gauge, so it bars no scale of the map, and with it no range.
 
-The likelihood step maximizes a penalized likelihood: a scale-free
+The ascent maximizes a penalized likelihood: a scale-free
 second-difference roughness of the coefficients (P-splines, Eilers &
 Marx 1996) keeps the 2 K1 K2 coefficients from spending their capacity
 on noise.  Its weight is estimated inside the fit from the data alone by
@@ -32,7 +34,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import blas, lapack, solve_triangular
+from scipy.linalg import lapack, solve_triangular
 from scipy.optimize import minimize
 from scipy.spatial.distance import cdist, pdist
 
@@ -74,11 +76,10 @@ __all__ = [
     "FitConfig",
     "FitDiagnostics",
     "SmoothnessPenalty",
+    "CoefObjective",
     "difference_penalty",
-    "coef_objective",
     "replicate_loglik",
     "loglik",
-    "step_cov",
     "refine_coords_ml",
     "normalize_gauge",
     "fit",
@@ -197,104 +198,113 @@ class _LikelihoodState:
     """Gaussian log-likelihood of demeaned replicate columns ``zc`` under
     one covariance matrix ``c``, factored once by ``factor_covariance``.
 
+    A state built by ``at`` is a unit-sill one, C = R_phi + g I at the
+    coordinates y = W z of the stacked coefficients z.  It also gives the
+    log-likelihood of sigma2 C maximized over sigma2, that profiled
+    log-likelihood's gradient in x = (z, g), and the information of x.
     C^-1 is formed on first use, which only the gradient and the
-    information make.  They chain through the coordinates, their
-    interdistances and the covariance parameters, which a state built by
-    ``at`` holds.
+    information make.
     """
 
-    def __init__(self, zc, c, y=None, d=None, cov=None):
-        self.zc, self.c, self.y, self.d, self.cov = zc, c, y, d, cov
+    def __init__(self, zc, c, w=None, y=None, d=None, phi=None):
+        self.zc, self.c, self.w, self.y, self.d, self.phi = zc, c, w, y, d, phi
         self.lower = factor_covariance(c)[0]
         self.logdet = 2.0 * float(np.sum(np.log(np.diag(self.lower))))
 
     @classmethod
-    def at(cls, zc, y, cov: CovParams) -> "_LikelihoodState":
+    def at(cls, zc, w, z, g: float, phi: float) -> "_LikelihoodState":
+        y = fitted_coords(w, z)
         d = cdist(y, y)
-        return cls(zc, exp_covariance(d, cov), y, d, cov)
-
-    def _loglik(self, quad: float) -> float:
-        n, t = self.zc.shape
-        return -0.5 * (n * t * np.log(2.0 * np.pi) + t * self.logdet + quad)
+        c = exp_covariance(d, CovParams(1.0, phi))
+        c[np.diag_indices_from(c)] += g
+        return cls(zc, c, w, y, d, phi)
 
     @functools.cached_property
-    def value(self) -> float:
+    def _quad(self) -> float:
         white = solve_triangular(self.lower, self.zc, lower=True, check_finite=False)
-        return self._loglik(float(np.sum(white * white)))
+        return float(np.sum(white * white))
 
-    @functools.cached_property
-    def _cinv_lower(self) -> np.ndarray:
-        # LAPACK potri: about a third of the work of solving against I;
-        # only the lower triangle holds C^-1
-        return lapack.dpotri(self.lower, lower=1)[0]
+    @property
+    def value(self) -> float:
+        n, t = self.zc.shape
+        return -0.5 * (n * t * np.log(2.0 * np.pi) + t * self.logdet + self._quad)
+
+    @property
+    def sill(self) -> float:
+        """The sigma2 that maximizes the likelihood of sigma2 C, in closed
+        form tr(Z' C^-1 Z) / (n T)."""
+        return self._quad / self.zc.size
+
+    @property
+    def profiled_value(self) -> float:
+        """The log-likelihood of sigma2 C at sigma2 = ``sill``."""
+        n, t = self.zc.shape
+        return -0.5 * (n * t * (np.log(2.0 * np.pi * self.sill) + 1.0) + t * self.logdet)
 
     @functools.cached_property
     def cinv(self) -> np.ndarray:
-        inv = self._cinv_lower
+        # LAPACK potri: about a third of the work of solving against I;
+        # it fills only the lower triangle of C^-1
+        inv = lapack.dpotri(self.lower, lower=1)[0]
         return np.tril(inv) + np.tril(inv, -1).T
 
-    def profiled_value_and_grad(self) -> tuple[float, np.ndarray, float]:
-        """For a unit-sill state, C = R_phi + g I built with ``cov`` =
-        (1, phi, g): the log-likelihood of sigma2 C maximized over sigma2,
-        its gradient in (log phi, g), and the maximizing sigma2.
+    @functools.cached_property
+    def profiled_grad(self) -> np.ndarray:
+        """Gradient of ``profiled_value`` in x = (z, g).
 
-        sigma2 = tr(Z' C^-1 Z) / (n T) in closed form.  With W = C^-1 Z
-        each derivative is (1/2)[tr(W' dC W) / sigma2 - T tr(C^-1 dC)]
-        (Mardia & Marshall 1984), where dC is R o D / phi for log phi and
-        I for g.
+        With V = C^-1 Z, the log-likelihood of sigma2 C changes along dC
+        by (1/2)[tr(V' dC V) / sigma2 - T tr(C^-1 dC)] (Mardia & Marshall
+        1984); at the maximizing sigma2 the profiled one changes by the
+        same.  dC is I for g.  For z it chains through C_ij = exp(-D_ij /
+        phi) off the diagonal and D_ij = |y_i - y_j|.
         """
-        n, t = self.zc.shape
-        inv = self._cinv_lower
-        w = blas.dsymm(1.0, inv, self.zc, lower=1)
-        s2 = float(np.sum(self.zc * w)) / (n * t)
-        ll = -0.5 * (n * t * (np.log(2.0 * np.pi * s2) + 1.0) + t * self.logdet)
-        dc = self.c * self.d / self.cov.phi
-        # dC has a zero diagonal, so tr(C^-1 dC) is twice its lower sum
-        d_phi = np.sum(w * (dc @ w)) / s2 - 2.0 * t * np.sum(np.tril(inv) * dc)
-        d_g = np.sum(w * w) / s2 - t * np.trace(inv)
-        return ll, 0.5 * np.array([d_phi, d_g]), s2
-
-    def value_and_coord_grad(self) -> tuple[float, np.ndarray]:
-        """The log-likelihood read from C^-1 Z, and its (n, 2) gradient in
-        the coordinates."""
-        cinv_z = self.cinv @ self.zc
-        ll = self._loglik(float(np.sum(self.zc * cinv_z)))
-        # d ll / dC, then chain through C_ij = sigma2 exp(-D_ij/phi) off
-        # the diagonal and D_ij = |y_i - y_j|
-        dldc = 0.5 * (cinv_z @ cinv_z.T - self.zc.shape[1] * self.cinv)
-        dldd = -(1.0 / self.cov.phi) * dldc * self.c
+        t = self.zc.shape[1]
+        v = self.cinv @ self.zc
+        s2 = float(np.sum(self.zc * v)) / self.zc.size
+        dldc = 0.5 * (v @ v.T / s2 - t * self.cinv)
+        dldd = -(1.0 / self.phi) * dldc * self.c
         np.fill_diagonal(dldd, 0.0)
         d, y = self.d, self.y
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(d > 0, 2.0 * dldd / np.where(d > 0, d, 1.0), 0.0)
-        return ll, ratio.sum(axis=1)[:, None] * y - ratio @ y
+        grad_y = ratio.sum(axis=1)[:, None] * y - ratio @ y
+        d_g = 0.5 * (float(np.sum(v * v)) / s2 - t * np.trace(self.cinv))
+        return np.concatenate([self.w.T @ grad_y[:, 0], self.w.T @ grad_y[:, 1], [d_g]])
 
-    def coef_information(self, w: np.ndarray) -> np.ndarray:
-        """Expected information of the stacked coefficients whose dense
-        design at the sites is ``w``.
+    @functools.cached_property
+    def information(self) -> tuple[np.ndarray, np.ndarray]:
+        """Expected information of x = (z, g) at fixed sigma2, and the
+        vector u whose rank-one u u' profiling sigma2 out removes from it.
 
-        Entry (p, q) is (t/2) tr(Ch dC/dz_p Ch dC/dz_q) with Ch = C^-1.  It
-        is assembled per component pair (k, l) as (t/2) W' X W with
-        X = (R_k Ch) o (R_l Ch)' - Ch o (R_k Ch R_l) - Ch o (R_l Ch R_k)'
-        + (Ch R_l) o (Ch R_k)', where R_k[i, j] = dC_ij / dy_ik is the
-        antisymmetric derivative kernel of component k, so the 2 K1 K2
-        derivative matrices are never formed.
+        Entry (p, q) is (T/2) tr(Ch C_p Ch C_q), with Ch = C^-1 and C_p =
+        dC/dx_p, and u_p = sqrt(T / 2n) tr(Ch C_p): the information of
+        (sigma2, x) less its sigma2 part (Schur complement) is I - u u'.
+        Let R_k[i, j] = dC_ij / dy_ik, the antisymmetric derivative kernel
+        of component k, and P_k = R_k Ch.  The coefficient blocks (k, l)
+        are then (T/2) W' X W with X = 2 [P_k o P_l' - Ch o (P_k R_l)], and
+        tr(B C_p) for a symmetric B is 2 (W' rowsum(B o R_k))_p, so the
+        2 K1 K2 derivative matrices are never formed.
         """
-        d, y, cinv = self.d, self.y, self.cinv
+        d, y, cinv, w = self.d, self.y, self.cinv, self.w
         safe = np.where(d > 0, d, 1.0)
-        r = [np.where(d > 0, -(self.c / self.cov.phi) * (y[:, k, None] - y[None, :, k]) / safe,
+        r = [np.where(d > 0, -(self.c / self.phi) * (y[:, k, None] - y[None, :, k]) / safe,
                       0.0) for k in range(2)]
-        rc = [rk @ cinv for rk in r]
-        cr = [cinv @ rk for rk in r]
+        p = [rk @ cinv for rk in r]
+        cinv2 = cinv @ cinv
         m = w.shape[1]
-        info = np.empty((2 * m, 2 * m))
+        info = np.empty((2 * m + 1, 2 * m + 1))
         for k in range(2):
-            for l in range(2):
-                x = (rc[k] * rc[l].T - cinv * (rc[k] @ r[l])
-                     - cinv * (rc[l] @ r[k]).T + cr[l] * cr[k].T)
-                info[k * m:(k + 1) * m, l * m:(l + 1) * m] = \
-                    0.5 * self.zc.shape[1] * (w.T @ x @ w)
-        return info
+            for l in range(k, 2):
+                block = 2.0 * (w.T @ (p[k] * p[l].T - cinv * (p[k] @ r[l])) @ w)
+                info[k * m:(k + 1) * m, l * m:(l + 1) * m] = block
+                info[l * m:(l + 1) * m, k * m:(k + 1) * m] = block.T
+            info[k * m:(k + 1) * m, -1] = 2.0 * (w.T @ np.sum(cinv2 * r[k], axis=1))
+        info[-1, :-1] = info[:-1, -1]
+        info[-1, -1] = np.sum(cinv * cinv)
+        trace = np.concatenate([2.0 * (w.T @ np.sum(cinv * rk, axis=1)) for rk in r]
+                               + [[np.trace(cinv)]])
+        t = self.zc.shape[1]
+        return 0.5 * t * info, np.sqrt(0.5 * t / len(d)) * trace
 
 
 def replicate_loglik(replicates, cov_matrix) -> float:
@@ -314,70 +324,8 @@ def loglik(dataset: Dataset, mapping, cov: CovParams) -> float:
     return replicate_loglik(dataset.replicates, c)
 
 
-# the covariance step searches the nugget-to-sill ratio g within [0, G_MAX]
+# the likelihood ascent holds the nugget-to-sill ratio g within [0, G_MAX]
 G_MAX = 1e6
-
-
-def step_cov(dataset: Dataset, mapping, cov_init: CovParams) -> CovParams:
-    """Maximize the replicate likelihood over (sigma2, phi, nugget).
-
-    The covariance is written sigma2 (R_phi + g I), with g the
-    nugget-to-sill ratio, and sigma2 is profiled out in closed form.
-    L-BFGS-B then searches (log phi, g) over phi in [1e-4, 10] times the
-    deformed diameter and g in [0, G_MAX], with the exact gradient of the
-    profiled log-likelihood, from the incumbent and from a moment start
-    (phi a quarter of the diameter, g = 1).  Never returns parameters with
-    lower likelihood than ``cov_init``; warns when neither start reports
-    success.
-    """
-    y = np.asarray(mapping(dataset.sites), dtype=float)
-    d = cdist(y, y)
-    diam = float(d.max())
-    if diam <= 0:
-        raise FitError("mapped sites are coincident; cannot estimate a range")
-    if float(np.mean(np.var(dataset.replicates, axis=1, ddof=1))) <= 0:
-        raise FitError("replicates are constant; cannot estimate a variance")
-    phi_box = (1e-4 * diam, 10.0 * diam)
-    bounds = [tuple(np.log(phi_box)), (0.0, G_MAX)]
-    zc = dataset.demeaned()
-    # every evaluated point, so that the incumbent's value and L-BFGS-B's
-    # first evaluation, and the returned point and its sigma2, share one
-    # factorization
-    evaluated: dict[bytes, tuple[float, np.ndarray, float]] = {}
-
-    def profiled(x):
-        key = x.tobytes()
-        if key not in evaluated:
-            unit = CovParams(1.0, float(np.exp(x[0])), float(x[1]))
-            try:
-                ll, grad, s2 = _LikelihoodState(zc, exp_covariance(d, unit), d=d,
-                                                cov=unit).profiled_value_and_grad()
-                evaluated[key] = (-ll, -grad, s2)
-            except NumericalError:
-                evaluated[key] = (1e300, np.zeros(2), np.nan)
-        return evaluated[key]
-
-    x_init = np.clip([np.log(cov_init.phi), cov_init.nugget / cov_init.sigma2],
-                     *np.array(bounds).T)
-    candidates = [(profiled(x_init)[0], x_init)]
-    failures = []
-    for x0 in (x_init, np.array([np.log(0.25 * diam), 1.0])):
-        res = minimize(lambda x: profiled(x)[:2], x0, jac=True, method="L-BFGS-B",
-                       bounds=bounds)
-        candidates.append((res.fun, res.x))
-        if not res.success:
-            failures.append(str(res.message))
-    # min keeps the incumbent, the first candidate, unless a result is
-    # strictly better
-    fbest, xbest = min(candidates, key=lambda c: c[0])
-    if not fbest < 1e300:
-        raise NumericalError("likelihood is not finite anywhere in the search box")
-    if len(failures) == 2:
-        warnings.warn(f"covariance step: neither start converged ({'; '.join(failures)})",
-                      RuntimeWarning, stacklevel=2)
-    s2 = profiled(xbest)[2]
-    phi = float(np.clip(np.exp(xbest[0]), *phi_box))
-    return CovParams(sigma2=s2, phi=phi, nugget=float(xbest[1]) * s2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -424,53 +372,47 @@ class SmoothnessPenalty:
         return (self.q0 / spread) * np.kron(np.eye(2), self.s)
 
 
-class _CoefObjective:
-    """Negative penalized log-likelihood over the stacked coefficients.
+class CoefObjective:
+    """Negative penalized profiled log-likelihood over x = (z, g), the
+    stacked coefficients and the nugget-to-sill ratio.
 
-    ``f(z, want_grad=True) -> (value, gradient)`` is ``-loglik(z) + lam /
-    2 * penalty(z)`` at fixed covariance parameters, the plain negative
-    log-likelihood when ``lam == 0``.  With ``want_grad=False`` the
-    gradient is None and the value costs one factorization and one
-    triangular solve.  Non-positive-definite covariances give 1e300.  The
-    state of the last point is kept, so the gradient or information asked
-    for there (SLSQP asks for the gradient where it took its last value)
-    reuses its factorization.
+    ``f(x, phi, lam, want_grad=True) -> (value, gradient)`` is
+    ``-l(x) + lam / 2 * penalty(z)``, where l is the profiled
+    log-likelihood of the state at x and range phi.  With
+    ``want_grad=False`` the gradient is None and the value costs one
+    factorization and one triangular solve.  Non-positive-definite
+    covariances give 1e300.  The state of the last point is kept, so the
+    gradient or information asked for there (SLSQP asks for the gradient
+    where it took its last value, and the next pass starts where the last
+    one ended) reuses its factorization.
     """
 
-    def __init__(self, dataset: Dataset, cov: CovParams, grid: KnotGrid, lam: float):
+    def __init__(self, dataset: Dataset, grid: KnotGrid):
         self.zc = dataset.demeaned()
         self.w = design_matrix(grid, dataset.sites).toarray()
-        self.cov, self.lam = cov, lam
-        self.penalty = SmoothnessPenalty.for_sites(grid, dataset.sites) if lam > 0 else None
-        self._z, self._state = None, None
+        self.penalty = SmoothnessPenalty.for_sites(grid, dataset.sites)
+        self._key, self._state = None, None
 
-    def state(self, z: np.ndarray) -> _LikelihoodState:
-        if self._z is None or not np.array_equal(z, self._z):
-            self._state = _LikelihoodState.at(self.zc, fitted_coords(self.w, z), self.cov)
-            self._z = np.array(z, dtype=float)
+    def state(self, x: np.ndarray, phi: float) -> _LikelihoodState:
+        key = (np.asarray(x, dtype=float).tobytes(), phi)
+        if key != self._key:
+            # SLSQP keeps to the rows g >= 0 only up to rounding
+            self._state = _LikelihoodState.at(self.zc, self.w, x[:-1], max(x[-1], 0.0), phi)
+            self._key = key
         return self._state
 
-    def information(self, z: np.ndarray) -> np.ndarray:
-        return self.state(z).coef_information(self.w)
-
-    def __call__(self, z: np.ndarray, want_grad: bool = True):
+    def __call__(self, x: np.ndarray, phi: float, lam: float, want_grad: bool = True):
         try:
-            state = self.state(z)
+            state = self.state(x, phi)
         except NumericalError:
-            return 1e300, (np.zeros(z.size) if want_grad else None)
-        pen = self.penalty.value_and_grad(z) if self.lam > 0 else (0.0, 0.0)
+            return 1e300, (np.zeros(x.size) if want_grad else None)
+        pen = self.penalty.value_and_grad(x[:-1]) if lam > 0 else (0.0, 0.0)
+        f = -state.profiled_value + 0.5 * lam * pen[0]
         if not want_grad:
-            return -state.value + 0.5 * self.lam * pen[0], None
-        ll, grad_y = state.value_and_coord_grad()
-        grad_z = np.concatenate([self.w.T @ grad_y[:, 0], self.w.T @ grad_y[:, 1]])
-        if self.lam > 0:
-            return -ll + 0.5 * self.lam * pen[0], -grad_z + 0.5 * self.lam * pen[1]
-        return -ll, -grad_z
-
-
-def coef_objective(dataset: Dataset, cov: CovParams, grid: KnotGrid, lam: float = 0.0):
-    """The negative penalized log-likelihood of ``_CoefObjective``."""
-    return _CoefObjective(dataset, cov, grid, lam)
+            return f, None
+        grad = -state.profiled_grad
+        grad[:-1] += 0.5 * lam * pen[1]
+        return f, grad
 
 
 # the weight update may move at most this factor away from its single
@@ -552,75 +494,107 @@ def _penalty_update(lam: float, info: np.ndarray, penalty: SmoothnessPenalty,
 
 # eigenvalues of the preconditioning metric are floored at this fraction
 # of the largest: the shift and rotation gauge directions, on which the
-# likelihood is flat, get a large but finite scale
-PRECONDITION_FLOOR = 1e-6
+# likelihood is flat to first order, get a large but finite scale.  With
+# the range held, a long step along the rotation tangent also grows the
+# map, which the likelihood feels; at 1e-6 such steps stalled ascents
+# that must rescale the map far
+PRECONDITION_FLOOR = 1e-4
 
 
 def refine_coords_ml(
-    dataset: Dataset,
+    objective: CoefObjective,
     cov: CovParams,
     grid: KnotGrid,
     coef: CoefPair,
     epsilon: float,
-    max_iter: int = 150,
+    max_iter: int = 200,
     lam: float = 0.0,
-) -> CoefPair:
-    """Ascend the penalized replicate likelihood over the coefficients.
+) -> tuple[CoefPair, CovParams]:
+    """Ascend the penalized replicate likelihood over the coefficients and
+    the nugget-to-sill ratio.
 
-    Maximizes ``loglik - lam / 2 * penalty`` directly over both
-    coefficient matrices, starting from ``coef``, under the non-folding
-    corner constraints (SLSQP with the analytic gradient); ``lam == 0``
-    is plain maximum likelihood.  SLSQP starts from an identity
-    quasi-Newton matrix, so it runs in variables u with
-    z = z0 + V diag(beta)^-1/2 u, where V diag(beta) V' is the metric
-    H = I(z0) + lam * M(z0): the coefficients' Fisher information at the
-    incoming coefficients plus the penalty's quadratic form.  The
-    eigenvalues beta are floored at PRECONDITION_FLOOR of the largest,
-    which covers the gauge directions (shift and rotation) where the
-    likelihood is flat.  Returns the best feasible coefficients found,
-    never worse than the input, and warns when SLSQP does not report
-    success.
+    The covariance is written sigma2 (R_phi + g I), with sigma2 profiled
+    out in closed form and the range phi held at ``cov.phi``: a common
+    scale of the coefficients and phi gives the same covariance, so the
+    scale of the map carries the range.  Maximizes ``l - lam / 2 *
+    penalty`` over x = (z, g), the stacked coefficient matrices and g,
+    starting from ``coef`` and the ratio of ``cov``, under the non-folding
+    corner constraints and 0 <= g <= G_MAX (two linear rows), by SLSQP
+    with the analytic gradient; ``lam == 0`` is plain maximum likelihood.
+    The corner margin is taken in the gauge that ``normalize_gauge``
+    gives, corner |J| q0 / spread >= epsilon with q0 the sites' spread and
+    spread the fitted one's, so it bars no scale of the map, and with it
+    no range.
+    SLSQP starts from an identity quasi-Newton matrix, so it runs in
+    variables u with x = x0 + V diag(beta)^-1/2 u, where V diag(beta) V'
+    is the metric H = I(x0) + lam * M(z0): the information of x with
+    sigma2 profiled out, at the start, plus the penalty's quadratic form
+    on z.  The eigenvalues beta are floored at PRECONDITION_FLOOR of the
+    largest, which covers the gauge directions (shift and rotation) where
+    the likelihood is flat.  Returns the best feasible coefficients
+    found, never worse than the start and not yet gauge-normalized, with
+    the covariance (sigma2, phi, g sigma2) at them, sigma2 the profiled
+    one; warns when SLSQP does not report success.  ``objective`` holds
+    the dataset on ``grid``; its last state is reused, so a caller that
+    evaluates the same point elsewhere pays for one factorization.
     """
     tables = _corner_tables(grid)
-    evaluate = coef_objective(dataset, cov, grid, lam)
+    phi = cov.phi
 
-    def value(z):
+    def value(x):
         # most points SLSQP visits are line-search trials that need no gradient
-        return evaluate(z, want_grad=False)[0]
+        return objective(x, phi, lam, want_grad=False)[0]
 
-    z0 = coef_to_vec(coef)
-    best = {"z": z0.copy(), "f": value(z0)}
+    def result(x, sill):
+        return (vec_to_coef(grid, x[:-1], validated=True),
+                CovParams(float(sill), float(phi), float(max(x[-1], 0.0) * sill)))
 
-    metric = evaluate.information(z0)
+    x0 = np.append(coef_to_vec(coef), cov.nugget / cov.sigma2)
+    start = objective.state(x0, phi)
+    best = {"x": x0.copy(), "f": value(x0), "sill": start.sill}
+
+    info, sill_part = start.information
+    metric = info - np.outer(sill_part, sill_part)
     if lam > 0:
-        metric += lam * evaluate.penalty.matrix(z0)
+        metric[:-1, :-1] += lam * objective.penalty.matrix(x0[:-1])
+    if not metric[:-1].any():
+        # no coefficient moves the objective: zero information means that
+        # every off-diagonal correlation underflowed, so C = (1 + g) I
+        # whatever x, and the profiled objective is flat, with no ascent
+        return result(x0, best["sill"])
     beta, v = np.linalg.eigh(metric)
-    if not beta.max() > 0:
-        # zero information means every dC/dz vanishes (the off-diagonal
-        # correlations underflowed): the objective is flat, with no ascent
-        return vec_to_coef(grid, z0, validated=True)
     scale = v / np.sqrt(np.maximum(beta, PRECONDITION_FLOOR * beta.max()))
 
-    def to_z(u):
-        return z0 + scale @ u
+    def to_x(u):
+        return x0 + scale @ u
+
+    # the margin |J| q0 / spread >= epsilon, written |J| - epsilon spread /
+    # q0 >= 0: both terms are quadratic in z, and spread = |wc z|^2
+    wc, rate = objective.penalty.wc, epsilon / objective.penalty.q0
+
+    def excess(z, want_jac):
+        vals, jac = _corner_values_and_jac(grid, z, tables, want_jac)
+        spread_grad = (wc.T @ (wc @ z.reshape(2, -1).T)).T.ravel()
+        vals = vals - rate * float(z @ spread_grad)
+        return vals, (jac - 2.0 * rate * spread_grad if want_jac else None)
 
     def constraint_fun(u):
-        z = to_z(u)
-        vals, _ = _corner_values_and_jac(grid, z, tables, want_jac=False)
-        if vals.min() >= epsilon - 1e-9:
-            f = value(z)
+        x = to_x(u)
+        vals = excess(x[:-1], False)[0]
+        if vals.min() >= -1e-9:
+            f = value(x)
             if f < best["f"]:
-                best["z"] = z.copy()
-                best["f"] = f
-        return vals - epsilon
+                best.update(x=x.copy(), f=f, sill=objective.state(x, phi).sill)
+        return np.concatenate([vals, [x[-1], G_MAX - x[-1]]])
 
     def constraint_jac(u):
-        return _corner_values_and_jac(grid, to_z(u), tables, want_jac=True)[1] @ scale
+        jac = excess(to_x(u)[:-1], True)[1]
+        return np.vstack([jac @ scale[:-1], scale[-1], -scale[-1]])
 
     res = minimize(
-        lambda u: value(to_z(u)),
-        np.zeros(z0.size),
-        jac=lambda u: scale.T @ evaluate(to_z(u))[1],
+        lambda u: value(to_x(u)),
+        np.zeros(x0.size),
+        jac=lambda u: scale.T @ objective(to_x(u), phi, lam)[1],
         method="SLSQP",
         constraints=[{"type": "ineq", "fun": constraint_fun, "jac": constraint_jac}],
         options={"maxiter": max_iter, "ftol": 1e-10},
@@ -635,7 +609,7 @@ def refine_coords_ml(
             stacklevel=2,
         )
     constraint_fun(res.x)  # keeps the solver's answer if it is the best feasible point
-    return vec_to_coef(grid, best["z"], validated=True)
+    return result(best["x"], best["sill"])
 
 
 def normalize_gauge(dmap: DeformationMap, sites) -> tuple[DeformationMap, ProcrustesTransform]:
@@ -730,18 +704,21 @@ def fit(dataset: Dataset, config: FitConfig) -> DeformModel:
     Starts from the identity map, whose corner |J| = 1 must clear
     epsilon (else InfeasibilityError), and from the covariance of
     ``_initial_cov`` (a FitError when its variogram fit fails).  Then it
-    alternates the covariance step, the likelihood ascent over the
-    coefficients from the incumbent ones and gauge normalization until
-    the relative change of the penalized log-likelihood drops below
-    ``tol`` or ``max_outer`` is reached.  The smoothness-penalty weight
-    starts at 0 and is re-estimated after every gauge normalization by
-    the generalized Fellner-Schall update, using the coefficients'
-    Fisher information at the current covariance parameters.  Every
-    returned model, the best model of a FitError included, has min
-    corner |J| >= epsilon.  Each optimizer warning raised inside is
-    issued again and recorded in the diagnostics' ``messages`` as
-    "pass N: <message>".  Raises FitError carrying the iteration index
-    (and the best model so far, when one exists) on failure.
+    alternates the likelihood ascent over the coefficients and the
+    nugget-to-sill ratio from the incumbent ones, at the incumbent range,
+    and gauge normalization, which co-scales the range, until the
+    relative change of the penalized log-likelihood drops below ``tol``
+    on a pass whose ascent raised no warning, or ``max_outer`` is
+    reached.  The smoothness-penalty weight starts at 0 and is
+    re-estimated after every gauge normalization by the generalized
+    Fellner-Schall update, using the coefficients' information at the
+    end of the pass; the state that gives it also starts the next
+    ascent.  Every returned model, the best model of a FitError
+    included, has min corner |J| >= epsilon.  Each optimizer warning
+    raised inside is issued again and recorded in the diagnostics'
+    ``messages`` as "pass N: <message>".  Raises FitError carrying the
+    iteration index (and the best model so far, when one exists) on
+    failure.
     """
     grid = _grid_from_sites(dataset.sites, config.k1, config.k2)
     epsilon = config.epsilon if config.epsilon is not None else default_epsilon(grid)
@@ -752,32 +729,37 @@ def fit(dataset: Dataset, config: FitConfig) -> DeformModel:
     diag = FitDiagnostics()
     mean = float(dataset.site_means().mean())
 
-    penalty = SmoothnessPenalty.for_sites(grid, dataset.sites)
+    objective = CoefObjective(dataset, grid)
+    penalty = objective.penalty
     lam = 0.0
 
     def roughness(c):
         return 0.5 * lam * penalty.value_and_grad(coef_to_vec(c))[0] if lam > 0 else 0.0
 
+    def end_state(c, cov):
+        return objective.state(np.append(coef_to_vec(c), cov.nugget / cov.sigma2), cov.phi)
+
     cov = _initial_cov(dataset, sample_dispersions(dataset.replicates))
-    prev_pll = loglik(dataset, DeformationMap(grid, coef), cov)
+    prev_pll = end_state(coef, cov).profiled_value
     centre = dataset.sites.mean(axis=0)
     # (loglik, coef, cov, pass) of the iterate with the highest penalized
     # loglik, its penalty taken at the current weight
     best: tuple[float, CoefPair, CovParams, int] | None = None
 
     for it in range(1, config.max_outer + 1):
+        label = f"pass {it}"
         try:
-            with _noted_warnings(diag.messages, f"pass {it}"):
-                cov = step_cov(dataset, DeformationMap(grid, coef), cov)
-                coef = refine_coords_ml(dataset, cov, grid, coef, epsilon, lam=lam)
+            with _noted_warnings(diag.messages, label):
+                coef, cov = refine_coords_ml(objective, cov, grid, coef, epsilon, lam=lam)
             dmap, gauge = normalize_gauge(DeformationMap(grid, coef), dataset.sites)
             coef = dmap.coef
             cov = CovParams(cov.sigma2, cov.phi * gauge.scale, cov.nugget)
-            # the pass's loglik and the information come from one state
-            ends, z = coef_objective(dataset, cov, grid), coef_to_vec(coef)
-            ll = ends.state(z).value
+            # the pass's loglik, the information and the next pass's start
+            # come from one state
+            state = end_state(coef, cov)
+            ll = state.profiled_value
             pll = ll - roughness(coef)
-            info = ends.information(z)
+            info = state.information[0][:-1, :-1]
         except InfeasibilityError:
             raise
         except SpatdeformError as e:
@@ -793,7 +775,9 @@ def fit(dataset: Dataset, config: FitConfig) -> DeformModel:
         next_lam, diag.effective_dof = _penalty_update(lam, info, penalty, coef_to_vec(coef))
         if best is None or pll > best[0] - roughness(best[1]):
             best = (ll, coef, cov, it)
-        if abs(pll - prev_pll) <= config.tol * (1.0 + abs(prev_pll)):
+        # a pass whose ascent warned has not shown that the fit settled
+        warned = any(m.startswith(f"{label}: ") for m in diag.messages)
+        if not warned and abs(pll - prev_pll) <= config.tol * (1.0 + abs(prev_pll)):
             diag.converged = True
             break
         prev_pll = pll

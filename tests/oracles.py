@@ -28,7 +28,7 @@ from spatdeform.deformation import (
     eval_map_points,
 )
 from spatdeform.errors import NumericalError
-from spatdeform.estimation import coef_objective, replicate_loglik
+from spatdeform.estimation import CoefObjective, replicate_loglik
 from spatdeform.smoothers import fit_bspline_constrained
 
 
@@ -213,9 +213,10 @@ def step_cov_fd(dataset, mapping, cov_init: CovParams) -> CovParams:
 def coef_fisher_information(dataset, cov: CovParams, grid: KnotGrid,
                             coef: CoefPair) -> np.ndarray:
     """Expected information of the replicate likelihood for the stacked
-    coefficient vector, at fixed covariance parameters (see
-    ``_LikelihoodState.coef_information``)."""
-    return coef_objective(dataset, cov, grid).information(coef_to_vec(coef))
+    coefficient vector, at fixed covariance parameters: the coefficient
+    block of ``_LikelihoodState.information``."""
+    x = np.append(coef_to_vec(coef), cov.nugget / cov.sigma2)
+    return CoefObjective(dataset, grid).state(x, cov.phi).information[0][:-1, :-1]
 
 
 def make_bspline_smoother(grid: KnotGrid, epsilon: float | None = None):

@@ -9,6 +9,7 @@ from spatdeform.covariance import (
     VariogramModel,
     cholesky_or_raise,
     covariance_matrix,
+    factor_covariance,
     fit_variogram,
     sample_dispersions,
     variogram_inverse,
@@ -89,6 +90,15 @@ class TestCovarianceMatrix:
     def test_cholesky_raises_on_singular(self):
         with pytest.raises(NumericalError):
             cholesky_or_raise(np.ones((3, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_factor_raises_on_non_finite_entries(self, bad):
+        pts = np.random.default_rng(3).uniform(0, 1, (6, 2))
+        c = covariance_matrix(pts, identity_map, CovParams(1.0, 0.3, 0.1))
+        factor_covariance(c)
+        c[0, 1] = c[1, 0] = bad
+        with pytest.raises(NumericalError, match="non-finite"):
+            factor_covariance(c)
 
 
 class TestSampleDispersions:

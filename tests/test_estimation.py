@@ -3,12 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.linalg import cho_factor, cho_solve, lapack
+from scipy.linalg import cho_factor, cho_solve, lapack, solve_triangular
 from scipy.optimize import OptimizeResult
 from scipy.spatial.distance import cdist
 
 from spatdeform.basis import KnotGrid, design_matrix
-from spatdeform.covariance import CovParams, covariance_matrix, exp_covariance
+from spatdeform.covariance import CovParams, covariance_matrix
 from spatdeform.deformation import (
     CoefPair,
     DeformationMap,
@@ -26,17 +26,17 @@ from spatdeform.estimation import (
     FitConfig,
     FitDiagnostics,
     PENALTY_STEP_REACH,
+    G_MAX,
     SmoothnessPenalty,
+    CoefObjective,
     _LikelihoodState,
     _penalty_update,
-    coef_objective,
     difference_penalty,
     fit,
     loglik,
     normalize_gauge,
     refine_coords_ml,
     replicate_loglik,
-    step_cov,
 )
 from spatdeform.fields import Swirl, simulate_grf
 from spatdeform.smoothers import unconstrained_bspline_fit
@@ -53,6 +53,11 @@ def grid_sites(n_side, lo=0.0, hi=1.0):
 def identity_model_map(k=4):
     grid = KnotGrid(0.0, 1.0, 0.0, 1.0, k, k)
     return DeformationMap(grid, identity_coef(grid))
+
+
+def ascend(ds, cov, grid, coef, epsilon, **kwargs):
+    """One likelihood ascent of ``refine_coords_ml`` on a fresh objective."""
+    return refine_coords_ml(CoefObjective(ds, grid), cov, grid, coef, epsilon, **kwargs)
 
 
 class TestDataset:
@@ -131,12 +136,20 @@ class TestReplicateLoglik:
 
 
 class TestStepCov:
+    """The covariance the likelihood ascent returns, with the range held
+    and carried by the scale of the map."""
+
     def test_recovers_simulation_parameters(self):
         sites = grid_sites(11)
         truth = CovParams(sigma2=1.0, phi=0.25, nugget=1.0)
         z = simulate_grf(sites, IdentityMap(), truth, t=200, seed=7)
         ds = Dataset(sites, z)
-        est = step_cov(ds, identity_model_map(), CovParams(0.5, 0.1, 0.5))
+        grid = identity_model_map().grid
+        coef, cov = ascend(ds, CovParams(0.5, 0.1, 0.5), grid, identity_coef(grid),
+                           epsilon=1e-3)
+        # the map grew to carry the range; the gauge hands it back to phi
+        _, gauge = normalize_gauge(DeformationMap(grid, coef), sites)
+        est = CovParams(cov.sigma2, cov.phi * gauge.scale, cov.nugget)
         assert abs(est.sigma2 - 1.0) < 0.25
         assert abs(est.phi - 0.25) < 0.25 * 0.25
         assert abs(est.nugget - 1.0) < 0.25
@@ -151,26 +164,32 @@ class TestStepCov:
             init = CovParams(
                 rng.uniform(0.1, 2.0), rng.uniform(0.05, 1.0), rng.uniform(0.0, 2.0)
             )
-            est = step_cov(ds, dmap, init)
-            assert loglik(ds, dmap, est) >= loglik(ds, dmap, init) - 1e-9
+            coef, est = ascend(ds, init, dmap.grid, dmap.coef, epsilon=1e-3)
+            assert (loglik(ds, DeformationMap(dmap.grid, coef), est)
+                    >= loglik(ds, dmap, init) - 1e-9)
 
     def test_phi_respects_bounds(self):
+        # the range is held at its incoming value, however far off, and the
+        # nugget ratio stays within [0, G_MAX]
         sites = grid_sites(4)
         z = simulate_grf(sites, IdentityMap(), CovParams(1.0, 0.3, 0.1), t=40, seed=10)
         ds = Dataset(sites, z)
         dmap = identity_model_map()
-        diam = float(cdist(sites, sites).max())
-        est = step_cov(ds, dmap, CovParams(1.0, 5.0, 0.1))
-        assert 1e-4 * diam <= est.phi <= 10.0 * diam
+        init = CovParams(1.0, 5.0, 0.1)
+        _, est = ascend(ds, init, dmap.grid, dmap.coef, epsilon=1e-3)
+        assert est.phi == init.phi
+        assert 0.0 <= est.nugget <= G_MAX * est.sigma2
 
     def test_already_optimal_start_is_stable(self):
         sites = grid_sites(5)
         z = simulate_grf(sites, IdentityMap(), CovParams(1.0, 0.3, 0.5), t=60, seed=22)
         ds = Dataset(sites, z)
         dmap = identity_model_map()
-        first = step_cov(ds, dmap, CovParams(0.7, 0.2, 0.3))
-        second = step_cov(ds, dmap, first)
-        assert abs(loglik(ds, dmap, second) - loglik(ds, dmap, first)) < 1e-4
+        coef, first = ascend(ds, CovParams(0.7, 0.2, 0.3), dmap.grid, dmap.coef,
+                             epsilon=1e-3)
+        again, second = ascend(ds, first, dmap.grid, coef, epsilon=1e-3)
+        assert abs(loglik(ds, DeformationMap(dmap.grid, again), second)
+                   - loglik(ds, DeformationMap(dmap.grid, coef), first)) < 1e-4
 
 
 @pytest.fixture(scope="module")
@@ -202,83 +221,86 @@ def step_cov_problems():
 
 
 class TestProfiledCovStep:
+    """The profiled likelihood over the coefficients and the nugget ratio
+    that the ascent climbs."""
+
     @pytest.fixture(scope="class")
     def problem(self):
         sites = grid_sites(6)
         z = simulate_grf(sites, Swirl(strength=1.0), CovParams(1.0, 0.3, 0.5), t=50, seed=31)
         ds = Dataset(sites, z)
-        dmap = identity_model_map()
-        return ds, dmap, cdist(dmap(sites), dmap(sites))
+        grid = identity_model_map().grid
+        return ds, grid, design_matrix(grid, sites).toarray()
 
     @staticmethod
-    def profiled(ds, d, x):
-        # the nugget ratio enters through the matrix only, so that central
-        # differences can step below g = 0
-        unit = CovParams(1.0, float(np.exp(x[0])), 0.0)
-        c = exp_covariance(d, unit) + x[1] * np.eye(len(d))
-        return _LikelihoodState(ds.demeaned(), c, d=d, cov=unit).profiled_value_and_grad()
+    def state(ds, w, x, phi):
+        # the nugget ratio enters unclamped, so that central differences
+        # can step below g = 0
+        return _LikelihoodState.at(ds.demeaned(), w, x[:-1], x[-1], phi)
 
-    @pytest.mark.parametrize("x", [(np.log(0.3), 0.0), (np.log(0.05), 0.4), (np.log(2.0), 3.0)])
+    @pytest.mark.parametrize("x", [(0.3, 0.0, 0.0), (0.05, 0.4, 0.05), (2.0, 3.0, 0.1)])
     def test_gradient_matches_central_differences(self, problem, x):
-        ds, _, d = problem
-        x = np.array(x)
-        _, grad, _ = self.profiled(ds, d, x)
-        fd = np.empty(2)
-        for i in range(2):
-            h = np.zeros(2)
+        # (phi, g, wobble of the map)
+        ds, grid, w = problem
+        phi, g, amount = x
+        z = coef_to_vec(wobbled(grid, np.random.default_rng(32), amount))
+        point = np.append(z, g)
+        grad = self.state(ds, w, point, phi).profiled_grad
+        fd = np.empty(point.size)
+        for i in range(point.size):
+            h = np.zeros(point.size)
             h[i] = 1e-5
-            fd[i] = (self.profiled(ds, d, x + h)[0] - self.profiled(ds, d, x - h)[0]) / 2e-5
-        assert_allclose(grad, fd, rtol=1e-6)
+            fd[i] = (self.state(ds, w, point + h, phi).profiled_value
+                     - self.state(ds, w, point - h, phi).profiled_value) / 2e-5
+        assert_allclose(grad, fd, rtol=1e-6, atol=1e-6 * np.abs(fd).max())
 
     def test_value_is_the_loglik_at_the_profiled_sill(self, problem):
-        ds, dmap, d = problem
+        ds, grid, w = problem
         phi, g = 0.3, 0.7
-        ll, _, s2 = self.profiled(ds, d, (np.log(phi), g))
+        coef = wobbled(grid, np.random.default_rng(33))
+        state = self.state(ds, w, np.append(coef_to_vec(coef), g), phi)
+        ll, s2 = state.profiled_value, state.sill
+        dmap = DeformationMap(grid, coef)
         assert ll == pytest.approx(loglik(ds, dmap, CovParams(s2, phi, g * s2)), rel=1e-12)
         for scale in (1.0 - 1e-3, 1.0 + 1e-3):
             assert ll > loglik(ds, dmap, CovParams(scale * s2, phi, g * scale * s2))
 
     @pytest.mark.parametrize("case", range(9))
     def test_at_least_the_finite_difference_optimum(self, step_cov_problems, case):
+        # at the map the ascent returns, no search over (sigma2, phi,
+        # nugget) beats the covariance it returns with it: the scale of the
+        # map, which carries the range, is free of the corner margin
         ds, dmap, init = step_cov_problems[case]
-        assert (loglik(ds, dmap, step_cov(ds, dmap, init))
-                >= loglik(ds, dmap, step_cov_fd(ds, dmap, init)) - 1e-6)
+        coef, cov = ascend(ds, init, dmap.grid, dmap.coef, epsilon=default_epsilon(dmap.grid))
+        fitted = DeformationMap(dmap.grid, coef)
+        assert (loglik(ds, fitted, cov)
+                >= loglik(ds, fitted, step_cov_fd(ds, fitted, cov)) - 1e-6)
 
     def test_searches_with_the_analytic_gradient_and_factors_each_matrix_once(
-            self, step_cov_problems, monkeypatch):
+            self, stationary_dataset, monkeypatch):
+        # one SLSQP ascent per pass, with the analytic gradient, and no
+        # matrix factored twice in a row: each pass starts from the state
+        # that ended the one before
         import spatdeform.estimation as est
 
         real_factor, real_minimize = est.factor_covariance, est.minimize
-        factored, jacs = [], []
+        factored, calls = [], []
 
         def recording_factor(c):
             factored.append(np.array(c))
             return real_factor(c)
 
         def recording_minimize(fun, x0, **kwargs):
-            jacs.append(kwargs.get("jac"))
+            calls.append((kwargs.get("method"), callable(kwargs.get("jac"))))
             return real_minimize(fun, x0, **kwargs)
 
         monkeypatch.setattr(est, "factor_covariance", recording_factor)
         monkeypatch.setattr(est, "minimize", recording_minimize)
-        ds, dmap, init = step_cov_problems[-1]
-        est.step_cov(ds, dmap, init)
-        assert jacs == [True, True]
-        assert len(factored) > 2
+        model = est.fit(stationary_dataset, FitConfig(k1=4, k2=4, tol=0.0, max_outer=3))
+        assert model.diagnostics.iterations == 3
+        assert calls == [("SLSQP", True)] * 3
+        assert len(factored) > 3
         assert not any(np.array_equal(a, b) for a, b in zip(factored, factored[1:]))
-
-    def test_warns_when_neither_start_converges(self, step_cov_problems, monkeypatch):
-        import spatdeform.estimation as est
-
-        def failing_minimize(fun, x0, **kwargs):
-            return OptimizeResult(x=np.array(x0, dtype=float), fun=fun(x0)[0], success=False,
-                                  message="ABNORMAL_TERMINATION_IN_LNSRCH")
-
-        monkeypatch.setattr(est, "minimize", failing_minimize)
-        ds, dmap, init = step_cov_problems[-1]
-        with pytest.warns(RuntimeWarning, match="^covariance step: neither start converged"):
-            cov = est.step_cov(ds, dmap, init)
-        assert loglik(ds, dmap, cov) >= loglik(ds, dmap, init)
 
 
 class TestRefineCoordsMl:
@@ -293,20 +315,21 @@ class TestRefineCoordsMl:
         ds, cov, grid = problem
         start = identity_coef(grid)
         eps = 1e-3
-        refined = refine_coords_ml(ds, cov, grid, start, epsilon=eps)
+        refined, refined_cov = ascend(ds, cov, grid, start, epsilon=eps)
         assert refined.validated
         assert corner_values(grid, refined).min() >= eps - 1e-9
+        assert refined_cov.phi == cov.phi
         ll_start = loglik(ds, DeformationMap(grid, start), cov)
-        ll_ref = loglik(ds, DeformationMap(grid, refined), cov)
+        ll_ref = loglik(ds, DeformationMap(grid, refined), refined_cov)
         assert ll_ref >= ll_start
 
     def test_warns_at_the_iteration_cap(self, problem):
         ds, cov, grid = problem
         start = identity_coef(grid)
         with pytest.warns(RuntimeWarning, match=r"iteration limit \(2\)"):
-            refined = refine_coords_ml(ds, cov, grid, start, epsilon=1e-3, max_iter=2)
+            refined, refined_cov = ascend(ds, cov, grid, start, epsilon=1e-3, max_iter=2)
         assert corner_values(grid, refined).min() >= 1e-3 - 1e-9
-        assert (loglik(ds, DeformationMap(grid, refined), cov)
+        assert (loglik(ds, DeformationMap(grid, refined), refined_cov)
                 >= loglik(ds, DeformationMap(grid, start), cov))
 
     def test_warning_carries_the_solver_message(self, problem, monkeypatch):
@@ -322,7 +345,7 @@ class TestRefineCoordsMl:
         ds, cov, grid = problem
         start = identity_coef(grid)
         with pytest.warns(RuntimeWarning) as record:
-            refined = est.refine_coords_ml(ds, cov, grid, start, epsilon=1e-3)
+            refined, _ = ascend(ds, cov, grid, start, epsilon=1e-3)
         messages = [str(w.message) for w in record]
         assert any("after 7 iterations: Positive directional derivative for linesearch" in m
                    for m in messages), messages
@@ -336,9 +359,10 @@ class TestRefineCoordsMl:
         cov = CovParams(1.0, 1e-4, 0.5)
         start = wobbled(grid, np.random.default_rng(27))
         assert not coef_fisher_information(ds, cov, grid, start).any()
-        refined = refine_coords_ml(ds, cov, grid, start, epsilon=1e-3)
+        refined, refined_cov = ascend(ds, cov, grid, start, epsilon=1e-3)
         assert refined.validated
         assert np.array_equal(coef_to_vec(refined), coef_to_vec(start))
+        assert refined_cov.nugget / refined_cov.sigma2 == pytest.approx(0.5)
 
 
 def wobbled(grid, rng, amount=0.05):
@@ -356,23 +380,24 @@ def swirl_problem():
     return Dataset(sites, z), cov, grid
 
 
-def reference_negloglik_and_grad(ds, cov, grid, solves=False):
-    """The unpenalized negative log-likelihood and its gradient, written
-    out plainly.  With ``solves``, C^-1 Z and C^-1 come from Cholesky
-    solves, as refine_coords_ml computed them before the smoothness
-    penalty existed; otherwise from the Cholesky inverse (LAPACK potri),
-    as it computes them now."""
+def reference_negloglik_and_grad(ds, phi, grid, solves=False):
+    """The unpenalized negative profiled log-likelihood over x = (z, g) at
+    range ``phi``, and its gradient, written out plainly.  The value takes
+    sigma2 from one triangular solve, as the package does.  For the
+    gradient, with ``solves``, C^-1 Z and C^-1 come from Cholesky solves;
+    otherwise from the Cholesky inverse (LAPACK potri), as the package
+    computes them."""
     zc = ds.demeaned()
     n, t = zc.shape
     w = design_matrix(grid, ds.sites).toarray()
     m = grid.k1 * grid.k2
 
-    def f(z):
+    def f(x):
+        z, g = x[:-1], x[-1]
         y = np.column_stack([w @ z[:m], w @ z[m:]])
         d = cdist(y, y)
-        expo = cov.sigma2 * np.exp(-d / cov.phi)
-        c = expo.copy()
-        c[np.diag_indices_from(c)] += cov.nugget
+        corr = np.exp(-d / phi)
+        c = corr + g * np.eye(n)
         factor = cho_factor(c, lower=True)
         logdet = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
         if solves:
@@ -382,14 +407,18 @@ def reference_negloglik_and_grad(ds, cov, grid, solves=False):
             cinv = lapack.dpotri(factor[0], lower=1)[0]
             cinv = np.tril(cinv) + np.tril(cinv, -1).T
             cinv_z = cinv @ zc
-        ll = -0.5 * (n * t * np.log(2.0 * np.pi) + t * logdet + float(np.sum(zc * cinv_z)))
-        dldc = 0.5 * (cinv_z @ cinv_z.T - t * cinv)
-        dldd = -(1.0 / cov.phi) * dldc * expo
+        white = solve_triangular(factor[0], zc, lower=True)
+        s2 = float(np.sum(white * white)) / (n * t)
+        ll = -0.5 * (n * t * (np.log(2.0 * np.pi * s2) + 1.0) + t * logdet)
+        s2 = float(np.sum(zc * cinv_z)) / (n * t)
+        dldc = 0.5 * (cinv_z @ cinv_z.T / s2 - t * cinv)
+        dldd = -(1.0 / phi) * dldc * corr
         np.fill_diagonal(dldd, 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(d > 0, 2.0 * dldd / np.where(d > 0, d, 1.0), 0.0)
         grad_y = ratio.sum(axis=1)[:, None] * y - ratio @ y
-        return -ll, -np.concatenate([w.T @ grad_y[:, 0], w.T @ grad_y[:, 1]])
+        d_g = 0.5 * (float(np.sum(cinv_z * cinv_z)) / s2 - t * np.trace(cinv))
+        return -ll, -np.concatenate([w.T @ grad_y[:, 0], w.T @ grad_y[:, 1], [d_g]])
 
     return f
 
@@ -435,50 +464,48 @@ class TestSmoothnessPenalty:
     def test_objective_gradient_matches_finite_differences(self, swirl_problem):
         ds, cov, grid = swirl_problem
         rng = np.random.default_rng(22)
-        z = coef_to_vec(wobbled(grid, rng))
-        objective = coef_objective(ds, cov, grid, lam=50.0)
-        f0, g = objective(z)
+        x = np.append(coef_to_vec(wobbled(grid, rng)), 0.4)
+        objective = CoefObjective(ds, grid)
+        f0, g = objective(x, cov.phi, 50.0)
         h = 1e-6
         fd = np.array([
-            (objective(z + h * e)[0] - objective(z - h * e)[0]) / (2 * h)
-            for e in np.eye(z.size)
+            (objective(x + h * e, cov.phi, 50.0)[0] - objective(x - h * e, cov.phi, 50.0)[0])
+            / (2 * h)
+            for e in np.eye(x.size)
         ])
         assert_allclose(g, fd, rtol=1e-5, atol=1e-5 * np.abs(g).max())
         # the penalty term is what separates it from the likelihood alone
-        assert f0 > coef_objective(ds, cov, grid)(z)[0]
+        assert f0 > objective(x, cov.phi, 0.0)[0]
 
     def test_zero_weight_is_the_unpenalized_objective(self, swirl_problem):
-        # refine_coords_ml drives SLSQP on this objective: the gradient
-        # and the value that comes with it are the plain likelihood's bit
-        # for bit, and the value-only path its line search uses agrees to
-        # rounding, so lam=0 is the unpenalized ascent up to rounding
+        # refine_coords_ml drives SLSQP on this objective: at lam=0 the
+        # value and the gradient are the plain profiled likelihood's bit
+        # for bit, on the value-only path its line search uses too, and the
+        # solve-based gradient agrees to rounding
         ds, cov, grid = swirl_problem
         rng = np.random.default_rng(23)
-        reference = reference_negloglik_and_grad(ds, cov, grid)
-        by_solves = reference_negloglik_and_grad(ds, cov, grid, solves=True)
-        objective = coef_objective(ds, cov, grid, lam=0.0)
+        reference = reference_negloglik_and_grad(ds, cov.phi, grid)
+        by_solves = reference_negloglik_and_grad(ds, cov.phi, grid, solves=True)
+        objective = CoefObjective(ds, grid)
         for _ in range(3):
-            z = coef_to_vec(wobbled(grid, rng))
-            f_ref, g_ref = reference(z)
-            f, g = objective(z)
+            x = np.append(coef_to_vec(wobbled(grid, rng)), rng.uniform(0.1, 1.0))
+            f_ref, g_ref = reference(x)
+            f, g = objective(x, cov.phi, 0.0)
             assert f == f_ref
             assert np.array_equal(g, g_ref)
-            f_value, g_value = objective(z, want_grad=False)
+            f_value, g_value = objective(x, cov.phi, 0.0, want_grad=False)
             assert g_value is None
-            assert_allclose(f_value, f_ref, rtol=1e-13)
-            # the inverse-based evaluation agrees with the solve-based
-            # one to rounding
-            f_sol, g_sol = by_solves(z)
+            assert f_value == f
+            f_sol, g_sol = by_solves(x)
             assert_allclose(f, f_sol, rtol=1e-13)
-            assert_allclose(f_value, f_sol, rtol=1e-13)
             assert_allclose(g, g_sol, rtol=0, atol=1e-10 * np.abs(g_sol).max())
 
     def test_penalized_refine_is_smoother_and_feasible(self, swirl_problem):
         ds, cov, grid = swirl_problem
         start = identity_coef(grid)
         pen = SmoothnessPenalty.for_sites(grid, ds.sites)
-        plain = refine_coords_ml(ds, cov, grid, start, epsilon=1e-3)
-        smooth = refine_coords_ml(ds, cov, grid, plain, epsilon=1e-3, lam=1e3)
+        plain, plain_cov = ascend(ds, cov, grid, start, epsilon=1e-3)
+        smooth, _ = ascend(ds, plain_cov, grid, plain, epsilon=1e-3, lam=1e3)
         assert corner_values(grid, smooth).min() >= 1e-3 - 1e-9
         assert (pen.value_and_grad(coef_to_vec(smooth))[0]
                 < pen.value_and_grad(coef_to_vec(plain))[0])
@@ -498,7 +525,7 @@ def test_each_state_is_factored_once(swirl_problem, monkeypatch):
 
     monkeypatch.setattr(est, "factor_covariance", recording_factor)
     ds, cov, grid = swirl_problem
-    est.refine_coords_ml(ds, cov, grid, identity_coef(grid), epsilon=1e-3)
+    ascend(ds, cov, grid, identity_coef(grid), epsilon=1e-3)
     assert len(factored) > 10
     assert not any(np.array_equal(a, b) for a, b in zip(factored, factored[1:]))
 
@@ -509,8 +536,9 @@ class TestFisherInformation:
         coef = wobbled(grid, np.random.default_rng(24))
         info = coef_fisher_information(ds, cov, grid, coef)
 
-        # dense reference: (t/2) tr(C^-1 dC/dz_p C^-1 dC/dz_q) with one
-        # n x n derivative matrix per coefficient
+        # dense reference: (t/2) tr(C^-1 dC/dx_p C^-1 dC/dx_q) with one
+        # n x n derivative matrix per coefficient, and sigma2 I for the
+        # nugget ratio g of C = sigma2 (R + g I)
         w = design_matrix(grid, ds.sites).toarray()
         z = coef_to_vec(coef)
         m = grid.k1 * grid.k2
@@ -525,9 +553,17 @@ class TestFisherInformation:
                 dy = w[:, p][:, None] - w[:, p][None, :]
                 dd = np.divide(diff[:, :, k] * dy, d, out=np.zeros_like(d), where=d > 0)
                 derivs.append(-(expo / cov.phi) * dd)
+        derivs.append(cov.sigma2 * np.eye(len(y)))
         dense = np.array([[0.5 * ds.t * np.trace(cinv @ a @ cinv @ b) for b in derivs]
                           for a in derivs])
-        assert_allclose(info, dense, rtol=0, atol=1e-10 * np.abs(dense).max())
+        assert_allclose(info, dense[:-1, :-1], rtol=0, atol=1e-10 * np.abs(dense).max())
+        # the nugget row, and the part u u' that profiling sigma2 out
+        # removes, u_p = sqrt(t / 2n) tr(C^-1 dC/dx_p)
+        x = np.append(z, cov.nugget / cov.sigma2)
+        info_x, sill_part = CoefObjective(ds, grid).state(x, cov.phi).information
+        assert_allclose(info_x, dense, rtol=0, atol=1e-10 * np.abs(dense).max())
+        traces = np.sqrt(0.5 * ds.t / len(y)) * np.array([np.trace(cinv @ a) for a in derivs])
+        assert_allclose(sill_part, traces, rtol=0, atol=1e-10 * np.abs(traces).max())
 
     def test_gauge_shifts_carry_no_information(self, swirl_problem):
         ds, cov, grid = swirl_problem
@@ -574,7 +610,7 @@ class TestFisherInformation:
     def test_weight_update_is_the_fixed_point_on_the_quadratic_model(self, swirl_problem):
         ds, cov, grid = swirl_problem
         lam = 2.0
-        coef = refine_coords_ml(ds, cov, grid, identity_coef(grid), 1e-3, lam=lam)
+        coef, _ = ascend(ds, cov, grid, identity_coef(grid), 1e-3, lam=lam)
         coef = normalize_gauge(DeformationMap(grid, coef), ds.sites)[0].coef
         z = coef_to_vec(coef)
         info = coef_fisher_information(ds, cov, grid, coef)
@@ -706,16 +742,16 @@ class TestFit:
     def test_step_error_carries_iteration_and_best_model(self, stationary_dataset, monkeypatch):
         import spatdeform.estimation as est
 
-        real_step_cov = est.step_cov
+        real_refine = est.refine_coords_ml
         calls = {"n": 0}
 
-        def flaky_step_cov(dataset, mapping, cov_init):
+        def flaky_refine(*args, **kwargs):
             calls["n"] += 1
             if calls["n"] >= 2:
                 raise NumericalError("synthetic failure")
-            return real_step_cov(dataset, mapping, cov_init)
+            return real_refine(*args, **kwargs)
 
-        monkeypatch.setattr(est, "step_cov", flaky_step_cov)
+        monkeypatch.setattr(est, "refine_coords_ml", flaky_refine)
         with pytest.raises(FitError, match="outer iteration 2") as excinfo:
             est.fit(stationary_dataset, FitConfig(k1=4, k2=4, tol=0.0, max_outer=5))
         assert isinstance(excinfo.value.best_model, DeformModel)
@@ -725,22 +761,22 @@ class TestFit:
         # by their penalized loglik at the weight of the last pass
         import spatdeform.estimation as est
 
-        real_step_cov, real_normalize = est.step_cov, est.normalize_gauge
+        real_refine, real_normalize = est.refine_coords_ml, est.normalize_gauge
         calls = {"n": 0}
         iterates = []
 
-        def flaky_step_cov(dataset, mapping, cov_init):
+        def flaky_refine(*args, **kwargs):
             calls["n"] += 1
             if calls["n"] >= 4:
                 raise NumericalError("synthetic failure")
-            return real_step_cov(dataset, mapping, cov_init)
+            return real_refine(*args, **kwargs)
 
         def recording_normalize(dmap, sites):
             out = real_normalize(dmap, sites)
             iterates.append(out[0].coef)
             return out
 
-        monkeypatch.setattr(est, "step_cov", flaky_step_cov)
+        monkeypatch.setattr(est, "refine_coords_ml", flaky_refine)
         monkeypatch.setattr(est, "normalize_gauge", recording_normalize)
         with pytest.raises(FitError, match="outer iteration 4") as excinfo:
             est.fit(stationary_dataset, FitConfig(k1=4, k2=4, tol=0.0, max_outer=5))
@@ -805,6 +841,28 @@ class TestFit:
         modelio.save_model(model, path)
         assert modelio.load_model(path).diagnostics.messages == model.diagnostics.messages
 
+    def test_a_pass_whose_ascent_warned_does_not_converge(self, stationary_dataset,
+                                                          monkeypatch):
+        # an ascent that stalls at its start leaves the objective where it
+        # was, which is no sign that the fit has settled
+        import spatdeform.estimation as est
+
+        real_minimize = est.minimize
+
+        def stalled_minimize(fun, x0, **kwargs):
+            if kwargs.get("method") != "SLSQP":
+                return real_minimize(fun, x0, **kwargs)
+            return OptimizeResult(x=np.zeros_like(x0), success=False, status=8, nit=0,
+                                  message="Positive directional derivative for linesearch")
+
+        monkeypatch.setattr(est, "minimize", stalled_minimize)
+        with pytest.warns(RuntimeWarning, match="Positive directional derivative"):
+            model = est.fit(stationary_dataset, FitConfig(k1=4, k2=4, max_outer=3))
+        d = model.diagnostics
+        assert d.iterations == 3
+        assert not d.converged
+        assert [m.split(":")[0] for m in d.messages] == ["pass 1", "pass 2", "pass 3"]
+
     def test_returned_models_meet_the_margin(self, stationary_dataset, monkeypatch):
         # a gauge that shrinks the plane 100-fold scales every corner |J|
         # by 1e-4, below the margin; the returned model, and the best model
@@ -812,7 +870,7 @@ class TestFit:
         # covariance they imply
         import spatdeform.estimation as est
 
-        real_normalize, real_step_cov = est.normalize_gauge, est.step_cov
+        real_normalize, real_refine = est.normalize_gauge, est.refine_coords_ml
 
         def shrinking_normalize(dmap, sites):
             out, t = real_normalize(dmap, sites)
@@ -833,13 +891,13 @@ class TestFit:
 
         calls = {"n": 0}
 
-        def flaky_step_cov(dataset, mapping, cov_init):
+        def flaky_refine(*args, **kwargs):
             calls["n"] += 1
             if calls["n"] >= 3:
                 raise NumericalError("synthetic failure")
-            return real_step_cov(dataset, mapping, cov_init)
+            return real_refine(*args, **kwargs)
 
-        monkeypatch.setattr(est, "step_cov", flaky_step_cov)
+        monkeypatch.setattr(est, "refine_coords_ml", flaky_refine)
         with pytest.raises(FitError, match="outer iteration 3") as excinfo:
             est.fit(ds, FitConfig(k1=4, k2=4, tol=0.0, max_outer=5))
         best = excinfo.value.best_model

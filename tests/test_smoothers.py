@@ -286,7 +286,9 @@ class TestConstrainedFit:
             coef = fit_bspline_constrained(grid, sites, targets, epsilon=1e-3, max_iter=2)
         assert corner_values(grid, coef).min() >= 1e-3
 
-    def test_underdetermined_gets_default_ridge(self):
+    def test_underdetermined_fits_through_the_roughness_penalty(self):
+        # 9 sites cannot fix 36 coefficients: the singular Gram matrix
+        # gains the second-difference penalty
         grid = KnotGrid(0.0, 1.0, 0.0, 1.0, 6, 6)
         sites = grid_sites(3)
         coef = fit_bspline_constrained(grid, sites, sites.copy())
