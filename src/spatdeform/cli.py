@@ -136,8 +136,9 @@ def cmd_predict(args) -> None:
     if args.draws > 0:
         draws = system.simulate(args.draws, args.seed)
         draws_csv = out.with_name(out.stem + "_draws.csv")
-        modelio.write_csv(draws_csv, ["x1", "x2"] + [f"draw{d:03d}" for d in range(args.draws)],
-                          np.hstack([pred_sites, draws]).tolist())
+        modelio.write_array_csv(draws_csv,
+                                ["x1", "x2"] + [f"draw{d:03d}" for d in range(args.draws)],
+                                np.hstack([pred_sites, draws]))
         print(f"wrote {draws_csv} ({args.draws} conditional draws)")
 
 

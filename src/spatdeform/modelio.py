@@ -3,7 +3,21 @@
 The model file is versioned JSON whose floats round-trip bit-exactly.
 Observation data travels in a long CSV (one row per station and
 period); ingestion applies a complete-case filter and reports dropped
-stations.  All CSV output renders floats with 17 significant digits.
+stations.
+
+CSV files are read as UTF-8 in one ``csv.reader`` pass, a chunk of
+records at a time, and each chunk is converted a column at a time: floats
+by ``map(float, ...)``, station ids and time labels through dict index
+maps.  One numpy scatter fills the replicate matrix, and the checks run on
+the index arrays.  Only when a check fails are the records walked one by
+one, to name the first offending record.  Fields may be quoted and padded
+with whitespace; blank records are skipped.
+
+CSV output is comma-separated with CRLF line ends and no quoting, every
+float rendered as ``%.17g`` (17 significant digits, so it reads back
+bit-exactly).  Float tables are written by ``write_array_csv``, one
+``%``-format per chunk of rows; ``write_csv`` serves tables that mix
+text and numbers.
 """
 
 from __future__ import annotations
@@ -11,8 +25,9 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
-import math
+from itertools import islice
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -33,6 +48,7 @@ __all__ = [
     "write_prediction_csv",
     "write_deformed_grid_csv",
     "write_map_csv",
+    "write_array_csv",
     "write_csv",
     "read_config",
     "fmt",
@@ -60,17 +76,36 @@ CONFIG_KEYS = {
 }
 
 
+FLOAT_FORMAT = "%.17g"
+# records per chunk of the CSV readers and rows per format call of
+# write_array_csv: a chunk's text stays small beside the arrays it becomes
+CHUNK_ROWS = 1024
+
+
 def fmt(x: float) -> str:
     """Full-precision decimal rendering (17 significant digits)."""
-    return f"{float(x):.17g}"
+    return FLOAT_FORMAT % float(x)
 
 
 def write_csv(path, header, rows) -> None:
-    """Write a header and rows, every float rendered by ``fmt``."""
-    with Path(path).open("w", newline="") as fh:
+    """Write a header and rows that may mix text and numbers, every float
+    rendered by ``fmt``."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows([fmt(v) if isinstance(v, float) else v for v in row] for row in rows)
+
+
+def write_array_csv(path, header, table) -> None:
+    """Write a header and a 2-d float table: the bytes ``write_csv`` writes
+    for the same values, from one format call per chunk of rows."""
+    table = np.asarray(table, dtype=float)
+    line = ",".join([FLOAT_FORMAT] * table.shape[1]) + "\r\n"
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(header)
+        for start in range(0, len(table), CHUNK_ROWS):
+            chunk = table[start:start + CHUNK_ROWS]
+            fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 def save_model(model: DeformModel, path) -> None:
@@ -95,9 +130,11 @@ def save_model(model: DeformModel, path) -> None:
 def load_model(path) -> DeformModel:
     """Read a model file, rejecting unknown schema versions."""
     try:
-        payload = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as e:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as e:  # ValueError: undecodable bytes or bad JSON
         raise DataError(f"cannot read model file {path}: {e}") from None
+    if not isinstance(payload, dict):
+        raise DataError(f"malformed model file {path}: expected a JSON object")
     version = payload.get("schema_version")
     if version != SCHEMA_VERSION:
         raise DataError(
@@ -110,6 +147,7 @@ def load_model(path) -> DeformModel:
             np.array(payload["theta2"], dtype=float),
             validated=True,
         )
+        coef.check_grid(grid)
         cov = CovParams(payload["sigma2"], payload["phi"], payload["nugget"])
         d = payload["diagnostics"]
         diag = FitDiagnostics(
@@ -127,26 +165,85 @@ def load_model(path) -> DeformModel:
         raise DataError(f"malformed model file {path}: {e}") from None
 
 
-def _csv_rows(path, header: list[str], kind: str):
-    """Yield (line number, stripped fields) for every nonblank row of a
-    CSV file that must start with ``header``."""
-    path = Path(path)
+def _read_chunks(path: Path, header: list[str], kind: str):
+    """Read a CSV file that must start with ``header``, in one pass, a
+    chunk of records at a time.
+
+    Yields (record numbers, stripped columns, error) for each chunk of up
+    to CHUNK_ROWS records, the header being record 1, and at least one
+    chunk.  Blank records (every field empty once stripped) are skipped.
+    The records end before the first one with another field count; its
+    message is the last chunk's ``error`` (None otherwise), for the caller
+    to raise once the records before it pass its checks.  Chunks keep the
+    text of a large file from being held all at once.
+    """
     if not path.exists():
         raise DataError(f"{kind} file {path} does not exist")
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        first = next(reader, None)
-        if first is None:
-            raise DataError(f"{path}: empty file")
-        if [h.strip() for h in first] != header:
-            raise DataError(f"{path}: header must be {','.join(header)}, got {','.join(first)}")
-        for line_no, row in enumerate(reader, start=2):
-            fields = [f.strip() for f in row]
-            if not any(fields):
-                continue
-            if len(fields) != len(header):
-                raise DataError(f"line {line_no}: expected {len(header)} fields, got {len(row)}")
-            yield line_no, fields
+    width = len(header)
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            first = next(reader, None)
+            if first is None:
+                raise DataError(f"{path}: empty file")
+            if [h.strip() for h in first] != header:
+                raise DataError(
+                    f"{path}: header must be {','.join(header)}, got {','.join(first)}"
+                )
+            start, error, full = 2, None, True
+            while full and error is None:
+                rows = list(islice(reader, CHUNK_ROWS))
+                numbers = range(start, start + len(rows))
+                start, full = start + len(rows), len(rows) == CHUNK_ROWS
+                if set(map(len, rows)) - {width}:
+                    kept = []
+                    for k, row in enumerate(rows):
+                        if len(row) == width:
+                            kept.append(k)
+                        elif any(map(str.strip, row)):
+                            error = f"line {numbers[k]}: expected {width} fields, got {len(row)}"
+                            break
+                    rows, numbers = [rows[k] for k in kept], [numbers[k] for k in kept]
+                columns = [list(map(str.strip, col)) for col in zip(*rows)] or [[]] * width
+                if "" in columns[0]:  # a blank record is empty in every column
+                    kept = [k for k, fields in enumerate(zip(*columns)) if any(fields)]
+                    columns = [[col[k] for k in kept] for col in columns]
+                    numbers = [numbers[k] for k in kept]
+                yield numbers, columns, error
+    except (OSError, UnicodeDecodeError, csv.Error) as e:
+        raise DataError(f"cannot read {kind} file {path}: {e}") from None
+
+
+def _floats(texts: list[str]) -> np.ndarray | None:
+    """A column of floats, or None when a field does not parse."""
+    try:
+        return np.fromiter(map(float, texts), float, len(texts))
+    except ValueError:
+        return None
+
+
+def _codes(column: list[str], index: dict[str, int]) -> np.ndarray:
+    """The code of each entry of ``column`` in ``index``, which numbers
+    labels in order of first appearance and gains the new ones."""
+    for label in dict.fromkeys(column):
+        index.setdefault(label, len(index))
+    return np.fromiter(map(index.__getitem__, column), np.intp, len(column))
+
+
+def _coordinates(texts: list[str]) -> np.ndarray | None:
+    """``_floats`` with each distinct text parsed once: a station's
+    coordinates repeat in every period, and a grid's along its rows."""
+    distinct: dict[str, int] = {}
+    codes = _codes(texts, distinct)
+    values = _floats(list(distinct))
+    return None if values is None else values[codes]
+
+
+def _sorted_codes(index: dict[str, int]) -> tuple[list[str], np.ndarray]:
+    """The labels of ``index`` in sorted order, and each code's position
+    among them."""
+    labels = sorted(index)
+    return labels, np.argsort([index[label] for label in labels])
 
 
 def _parse_float(text: str, line_no: int, column: str) -> float:
@@ -154,6 +251,31 @@ def _parse_float(text: str, line_no: int, column: str) -> float:
         return float(text)
     except ValueError:
         raise DataError(f"line {line_no}: cannot parse {column} value {text!r}") from None
+
+
+def _reject_data_records(path: Path) -> NoReturn:
+    """Raise the DataError of the first record of a data file that fails a
+    check, walking the records through the checks in their order.  Called
+    once the column checks have found that some record fails."""
+    coords: dict[str, tuple[float, float]] = {}
+    pairs: set[tuple[str, str]] = set()
+    for numbers, columns, error in _read_chunks(path, DATA_HEADER, "data"):
+        for line_no, sid, x1, x2, label, value in zip(numbers, *columns):
+            if not sid or not label:
+                raise DataError(f"line {line_no}: empty station id or time label")
+            xy = (_parse_float(x1, line_no, "x1"), _parse_float(x2, line_no, "x2"))
+            if coords.setdefault(sid, xy) != xy:
+                raise DataError(
+                    f"line {line_no}: station {sid!r} reappears with different coordinates"
+                )
+            if (sid, label) in pairs:
+                raise DataError(f"line {line_no}: duplicate (station, time) pair "
+                                f"({sid!r}, {label!r})")
+            pairs.add((sid, label))
+            _parse_float(value or "nan", line_no, "value")
+        if error:
+            raise DataError(error)
+    raise RuntimeError(f"{path}: the column checks flagged a record that passes")
 
 
 def ingest(path) -> Dataset:
@@ -164,54 +286,49 @@ def ingest(path) -> Dataset:
     (station, time) rows are errors, and any station missing one of the
     observed periods is dropped (recorded in ``dropped_ids``).  Missing
     values may be spelled as an empty field or ``nan``; they drop the
-    station through the complete-case rule.
+    station through the complete-case rule.  Stations come in sorted id
+    order and periods in sorted label order.
     """
-    coords: dict[str, tuple[float, float]] = {}
-    values: dict[str, dict[str, float]] = {}
-    times: set[str] = set()
-    for line_no, (sid, x1s, x2s, time_label, value_s) in _csv_rows(path, DATA_HEADER, "data"):
-        if not sid or not time_label:
-            raise DataError(f"line {line_no}: empty station id or time label")
-        x1 = _parse_float(x1s, line_no, "x1")
-        x2 = _parse_float(x2s, line_no, "x2")
-        if sid in coords:
-            if coords[sid] != (x1, x2):
-                raise DataError(
-                    f"line {line_no}: station {sid!r} reappears with different coordinates"
-                )
-        else:
-            coords[sid] = (x1, x2)
-            values[sid] = {}
-        if time_label in values[sid]:
-            raise DataError(f"line {line_no}: duplicate (station, time) pair "
-                            f"({sid!r}, {time_label!r})")
-        times.add(time_label)
-        if value_s == "" or value_s.lower() == "nan":
-            value = float("nan")
-        else:
-            value = _parse_float(value_s, line_no, "value")
-        values[sid][time_label] = value
-
     path = Path(path)
-    times = sorted(times)
+    stations: dict[str, int] = {}
+    periods: dict[str, int] = {}
+    parts = []
+    for _, (sids, x1s, x2s, labels, values), error in _read_chunks(path, DATA_HEADER, "data"):
+        part = (_codes(sids, stations), _codes(labels, periods),
+                _coordinates(x1s), _coordinates(x2s), _floats([v or "nan" for v in values]))
+        if error or "" in sids or "" in labels or any(col is None for col in part):
+            _reject_data_records(path)
+        parts.append(part)
+    ids, station_position = _sorted_codes(stations)
+    times, period_position = _sorted_codes(periods)
+    si, ti, x1, x2, value = (np.concatenate(col) for col in zip(*parts))
+    si, ti = station_position[si], period_position[ti]
+    first = np.unique(si, return_index=True)[1]  # each station's first record
+    head = first[si]
+    moved = (x1[head] != x1) | (x2[head] != x2)
+    moved[first] = False  # nan != nan, but a first record cannot conflict
+    pairs = np.sort(si * len(times) + ti)
+    if moved.any() or (pairs[1:] == pairs[:-1]).any():
+        _reject_data_records(path)
+
     if len(times) < 2:
         raise DataError(f"{path}: need at least 2 time periods, found {len(times)}")
-    complete, dropped = [], []
-    for sid in sorted(coords):
-        series = values[sid]
-        if all(t in series and math.isfinite(series[t]) for t in times):
-            complete.append(sid)
-        else:
-            dropped.append(sid)
-    if len(complete) < 4:
+    # with no duplicate pairs, T finite values mean every period is there
+    complete = np.bincount(si[np.isfinite(value)], minlength=len(ids)) == len(times)
+    kept = [sid for sid, ok in zip(ids, complete) if ok]
+    dropped = [sid for sid, ok in zip(ids, complete) if not ok]
+    if len(kept) < 4:
         raise DataError(
-            f"{path}: only {len(complete)} complete stations (need >= 4); "
+            f"{path}: only {len(kept)} complete stations (need >= 4); "
             f"dropped {len(dropped)}"
         )
-    sites = np.array([coords[sid] for sid in complete])
-    z = np.array([[values[sid][t] for t in times] for sid in complete])
+    row = np.cumsum(complete) - 1
+    keep = complete[si]
+    z = np.empty((len(kept), len(times)))
+    z[row[si[keep]], ti[keep]] = value[keep]
+    sites = np.column_stack([x1[first], x2[first]])[complete]
     return Dataset(
-        sites=sites, replicates=z, ids=tuple(complete), times=tuple(times),
+        sites=sites, replicates=z, ids=tuple(kept), times=tuple(times),
         dropped_ids=tuple(dropped),
     )
 
@@ -226,21 +343,30 @@ def write_long_csv(path, sites, ids, times, values) -> None:
 
 def read_grid_csv(path) -> np.ndarray:
     """Read prediction sites from a CSV with header x1,x2."""
-    pts = [[_parse_float(a, line_no, "x1"), _parse_float(b, line_no, "x2")]
-           for line_no, (a, b) in _csv_rows(path, ["x1", "x2"], "grid")]
-    if not pts:
+    parts = []
+    for numbers, (x1s, x2s), error in _read_chunks(Path(path), ["x1", "x2"], "grid"):
+        x1, x2 = _coordinates(x1s), _coordinates(x2s)
+        if x1 is None or x2 is None:
+            for line_no, a, b in zip(numbers, x1s, x2s):
+                _parse_float(a, line_no, "x1")
+                _parse_float(b, line_no, "x2")
+        if error:
+            raise DataError(error)
+        parts.append(np.column_stack([x1, x2]))
+    pts = np.concatenate(parts)
+    if not len(pts):
         raise DataError(f"{path}: no prediction sites")
-    return np.array(pts)
+    return pts
 
 
 def write_prediction_csv(path, pred_sites, mean, variance) -> None:
-    write_csv(path, ["x1", "x2", "mean", "variance"],
-              np.column_stack([pred_sites, mean, variance]).tolist())
+    write_array_csv(path, ["x1", "x2", "mean", "variance"],
+                    np.column_stack([pred_sites, mean, variance]))
 
 
 def write_map_csv(path, points, images) -> None:
     """Geographic points and their deformed images."""
-    write_csv(path, ["gx1", "gx2", "dx1", "dx2"], np.hstack([points, images]).tolist())
+    write_array_csv(path, ["gx1", "gx2", "dx1", "dx2"], np.hstack([points, images]))
 
 
 def write_deformed_grid_csv(path, dmap: DeformationMap, n_side: int = 21) -> None:
@@ -258,8 +384,12 @@ def read_config(path) -> dict:
     path = Path(path)
     if not path.exists():
         raise DataError(f"config file {path} does not exist")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise DataError(f"cannot read config file {path}: {e}") from None
     out: dict = {}
-    for line_no, raw in enumerate(path.read_text().splitlines(), start=1):
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -5,13 +5,17 @@ None of these is used by the package itself: the 1-d basis vectors, the
 skew-symmetric bilinear form A(x), the per-cell Jacobian, the corner
 functionals one by one, single-point map evaluation, the exponential
 correlation, a covariance step by finite differences, the
-coefficients' Fisher information at given coefficients and a
-coordinate smoother backed by the constrained B-spline fit.
+coefficients' Fisher information at given coefficients, a coordinate
+smoother backed by the constrained B-spline fit, and the CSV readers
+record by record.
 """
 
 from __future__ import annotations
 
+import csv
+import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sps
@@ -27,8 +31,9 @@ from spatdeform.deformation import (
     coef_to_vec,
     eval_map_points,
 )
-from spatdeform.errors import NumericalError
-from spatdeform.estimation import CoefObjective, replicate_loglik
+from spatdeform.errors import DataError, NumericalError
+from spatdeform.estimation import CoefObjective, Dataset, replicate_loglik
+from spatdeform.modelio import DATA_HEADER
 from spatdeform.smoothers import fit_bspline_constrained
 
 
@@ -227,3 +232,94 @@ def make_bspline_smoother(grid: KnotGrid, epsilon: float | None = None):
         return eval_map_points(DeformationMap(grid, coef), sites)
 
     return smoother
+
+
+def _csv_rows(path, header: list[str], kind: str):
+    """Yield (line number, stripped fields) for every nonblank row of a
+    CSV file that must start with ``header``."""
+    path = Path(path)
+    if not path.exists():
+        raise DataError(f"{kind} file {path} does not exist")
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first is None:
+            raise DataError(f"{path}: empty file")
+        if [h.strip() for h in first] != header:
+            raise DataError(f"{path}: header must be {','.join(header)}, got {','.join(first)}")
+        for line_no, row in enumerate(reader, start=2):
+            fields = [f.strip() for f in row]
+            if not any(fields):
+                continue
+            if len(fields) != len(header):
+                raise DataError(f"line {line_no}: expected {len(header)} fields, got {len(row)}")
+            yield line_no, fields
+
+
+def _parse_float(text: str, line_no: int, column: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise DataError(f"line {line_no}: cannot parse {column} value {text!r}") from None
+
+
+def ingest(path) -> Dataset:
+    """``modelio.ingest`` one record at a time: one dict entry per station
+    and per (station, period), each check made as its record is read."""
+    coords: dict[str, tuple[float, float]] = {}
+    values: dict[str, dict[str, float]] = {}
+    times: set[str] = set()
+    for line_no, (sid, x1s, x2s, time_label, value_s) in _csv_rows(path, DATA_HEADER, "data"):
+        if not sid or not time_label:
+            raise DataError(f"line {line_no}: empty station id or time label")
+        x1 = _parse_float(x1s, line_no, "x1")
+        x2 = _parse_float(x2s, line_no, "x2")
+        if sid in coords:
+            if coords[sid] != (x1, x2):
+                raise DataError(
+                    f"line {line_no}: station {sid!r} reappears with different coordinates"
+                )
+        else:
+            coords[sid] = (x1, x2)
+            values[sid] = {}
+        if time_label in values[sid]:
+            raise DataError(f"line {line_no}: duplicate (station, time) pair "
+                            f"({sid!r}, {time_label!r})")
+        times.add(time_label)
+        if value_s == "" or value_s.lower() == "nan":
+            value = float("nan")
+        else:
+            value = _parse_float(value_s, line_no, "value")
+        values[sid][time_label] = value
+
+    path = Path(path)
+    times = sorted(times)
+    if len(times) < 2:
+        raise DataError(f"{path}: need at least 2 time periods, found {len(times)}")
+    complete, dropped = [], []
+    for sid in sorted(coords):
+        series = values[sid]
+        if all(t in series and math.isfinite(series[t]) for t in times):
+            complete.append(sid)
+        else:
+            dropped.append(sid)
+    if len(complete) < 4:
+        raise DataError(
+            f"{path}: only {len(complete)} complete stations (need >= 4); "
+            f"dropped {len(dropped)}"
+        )
+    sites = np.array([coords[sid] for sid in complete])
+    z = np.array([[values[sid][t] for t in times] for sid in complete])
+    return Dataset(
+        sites=sites, replicates=z, ids=tuple(complete), times=tuple(times),
+        dropped_ids=tuple(dropped),
+    )
+
+
+def read_grid_csv(path) -> np.ndarray:
+    """``modelio.read_grid_csv`` one record at a time."""
+    pts = [[_parse_float(a, line_no, "x1"), _parse_float(b, line_no, "x2")]
+           for line_no, (a, b) in _csv_rows(path, ["x1", "x2"], "grid")]
+    if not pts:
+        raise DataError(f"{path}: no prediction sites")
+    return np.array(pts)

@@ -165,6 +165,47 @@ def pred_grid(workdir):
     return path
 
 
+class TestUnreadableFiles:
+    # a file the readers cannot decode is a data error that names the file:
+    # exit code 2 and no traceback
+    def check(self, capsys, argv, path):
+        rc = main([str(a) for a in argv])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "data error" in err and str(path) in err and "Traceback" not in err
+
+    def test_data_csv(self, workdir, capsys):
+        data = workdir / "bad_bytes.csv"
+        data.write_bytes(b"station_id,x1,x2,time,value\ns1,0,0,t\xff,1\n")
+        self.check(capsys, ["estimate", "--data", data, "--k", 4, "--out", workdir / "z.json"],
+                   data)
+
+    def test_data_csv_field_over_the_csv_limit(self, workdir, capsys):
+        data = workdir / "long_field.csv"
+        data.write_text("station_id,x1,x2,time,value\n" + "s" * 200_000 + ",0,0,t0,1\n")
+        self.check(capsys, ["estimate", "--data", data, "--k", 4, "--out", workdir / "z.json"],
+                   data)
+
+    def test_grid_csv(self, workdir, simulated, fitted_model, capsys):
+        grid = workdir / "bad_bytes_grid.csv"
+        grid.write_bytes(b"x1,x2\n0.5,0.\xff\n")
+        self.check(capsys, ["predict", "--model", fitted_model, "--data",
+                            simulated / "data.csv", "--grid", grid, "--time", "t000",
+                            "--out", workdir / "z.csv"], grid)
+
+    def test_config(self, workdir, capsys):
+        cfg = workdir / "bad_bytes.cfg"
+        cfg.write_bytes(b"grid_n = 5 # \xff\n")
+        self.check(capsys, ["simulate", "--config", cfg, "--out", workdir / "z_sim"], cfg)
+
+    def test_model_file(self, workdir, simulated, pred_grid, capsys):
+        model = workdir / "bad_bytes.json"
+        model.write_bytes(b'{"schema_version": 1, "k1": "\xff"}')
+        self.check(capsys, ["predict", "--model", model, "--data", simulated / "data.csv",
+                            "--grid", pred_grid, "--time", "t000", "--out", workdir / "z.csv"],
+                   model)
+
+
 class TestPredict:
     def test_prediction_csv(self, workdir, simulated, fitted_model, pred_grid):
         out = workdir / "pred.csv"
