@@ -25,6 +25,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 from itertools import islice
 from pathlib import Path
 from typing import NoReturn
@@ -127,8 +128,31 @@ def save_model(model: DeformModel, path) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
+def _finite_number(payload: dict, key: str) -> float:
+    """``payload[key]`` as a float, raising ValueError unless it is a finite
+    JSON number (a bool is not one)."""
+    value = payload[key]
+    try:
+        ok = type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        ok = False
+    if not ok:
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _finite_array(payload: dict, key: str) -> np.ndarray:
+    """``payload[key]`` as a float array, raising ValueError unless every
+    entry is finite."""
+    values = np.array(payload[key], dtype=float)
+    if not np.isfinite(values).all():
+        raise ValueError(f"{key} has non-finite entries")
+    return values
+
+
 def load_model(path) -> DeformModel:
-    """Read a model file, rejecting unknown schema versions."""
+    """Read a model file, rejecting unknown schema versions and parameters
+    that are not finite numbers."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as e:  # ValueError: undecodable bytes or bad JSON
@@ -142,13 +166,9 @@ def load_model(path) -> DeformModel:
         )
     try:
         grid = KnotGrid(*(payload["domain"][k] for k in DOMAIN_KEYS), payload["k1"], payload["k2"])
-        coef = CoefPair(
-            np.array(payload["theta1"], dtype=float),
-            np.array(payload["theta2"], dtype=float),
-            validated=True,
-        )
+        coef = CoefPair(*(_finite_array(payload, k) for k in ("theta1", "theta2")), validated=True)
         coef.check_grid(grid)
-        cov = CovParams(payload["sigma2"], payload["phi"], payload["nugget"])
+        cov = CovParams(*(_finite_number(payload, k) for k in ("sigma2", "phi", "nugget")))
         d = payload["diagnostics"]
         diag = FitDiagnostics(
             loglik=list(d["loglik"]),
@@ -160,7 +180,8 @@ def load_model(path) -> DeformModel:
             penalty_weights=list(d.get("penalty_weights", [])),
             effective_dof=d.get("effective_dof", float("nan")),
         )
-        return DeformModel(grid=grid, coef=coef, cov=cov, mean=payload["mean"], diagnostics=diag)
+        return DeformModel(grid=grid, coef=coef, cov=cov, mean=_finite_number(payload, "mean"),
+                           diagnostics=diag)
     except (KeyError, TypeError, ValueError) as e:
         raise DataError(f"malformed model file {path}: {e}") from None
 

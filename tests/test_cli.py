@@ -1,4 +1,5 @@
 import csv
+import json
 
 import numpy as np
 import pytest
@@ -204,6 +205,28 @@ class TestUnreadableFiles:
         self.check(capsys, ["predict", "--model", model, "--data", simulated / "data.csv",
                             "--grid", pred_grid, "--time", "t000", "--out", workdir / "z.csv"],
                    model)
+
+    # a model parameter that is not a finite number is a data error too
+    @pytest.mark.parametrize("key, value", [
+        ("mean", "abc"), ("mean", [1.0, 2.0]), ("mean", float("nan")), ("mean", float("inf")),
+        ("mean", True), ("sigma2", float("inf")), ("sigma2", True), ("phi", float("inf")),
+        ("nugget", float("inf")), ("theta1", float("nan")), ("theta2", float("-inf")),
+    ])
+    def test_model_parameter_that_is_not_a_finite_number(self, workdir, simulated, fitted_model,
+                                                          pred_grid, capsys, key, value):
+        payload = json.loads(fitted_model.read_text())
+        if key.startswith("theta"):
+            payload[key][1][2] = value
+        else:
+            payload[key] = value
+        model = workdir / f"bad_{key}.json"
+        model.write_text(json.dumps(payload))
+        rc = main(["predict", "--model", str(model), "--data", str(simulated / "data.csv"),
+                   "--grid", str(pred_grid), "--time", "t000", "--out", str(workdir / "z.csv")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "data error" in err and str(model) in err and "Traceback" not in err
+        assert f"{key} must be a finite number" in err or f"{key} has non-finite entries" in err
 
 
 class TestPredict:

@@ -1,10 +1,14 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import cho_factor, cho_solve
 from scipy.spatial.distance import cdist
 
 from spatdeform.basis import KnotGrid
-from spatdeform.covariance import CovParams, covariance_matrix
+from spatdeform.covariance import CovParams, covariance_matrix, exp_covariance
 from spatdeform.deformation import CoefPair, identity_coef
 from spatdeform.errors import DomainError, NumericalError
 from spatdeform.estimation import DeformModel, FitDiagnostics
@@ -173,6 +177,62 @@ class TestKrige:
         sites = np.array([[0.5, 0.5], [0.5, 0.5], [0.2, 0.2], [0.8, 0.8]])
         with pytest.raises(NumericalError):
             krige(model, sites, np.zeros(4), np.array([[0.4, 0.4]]))
+
+
+class TestKrigeAtNetworkScale:
+    # V = L^-1 K comes from the explicit inverse factor; a dense Cholesky
+    # solve with C is the reference for everything that reads V, on 250
+    # sites and a prediction set of every site and 1000 other points
+    @pytest.mark.parametrize("nugget, phi, cond", [
+        (0.0, 0.05, 1e2), (0.0, 0.5, 2e4), (0.0, 20.0, 2e6), (0.1, 0.1, 2e2), (1e-3, 5.0, 2e5),
+    ])
+    def test_matches_the_dense_solve(self, nugget, phi, cond):
+        rng = np.random.default_rng(31)
+        sites = rng.uniform(0.0, 1.0, (250, 2))
+        pred = np.vstack([rng.uniform(0.0, 1.0, (1000, 2)), sites])
+        cov = CovParams(2.5, phi, nugget)
+        scale = cov.sigma2 + cov.nugget
+        mean = 1.3
+        values = mean + simulate_grf(sites, IdentityMap(), cov, t=1, seed=32).ravel()
+        system = KrigingSystem(make_model(cov, mean=mean), sites, values, pred)
+        res = system.krige()
+        root = system.conditional_root()
+
+        c11 = covariance_matrix(sites, IdentityMap(), cov)
+        assert cond / 3 < np.linalg.cond(c11) < 3 * cond
+        c12 = cov.sigma2 * np.exp(-cdist(sites, pred) / cov.phi)
+        w = cho_solve(cho_factor(c11, lower=True), c12)
+        tol = 1e-10 * scale
+        assert_allclose(res.mean, mean + w.T @ (values - mean), rtol=0, atol=tol)
+        assert_allclose(res.variance, scale - np.einsum("ij,ij->j", c12, w), rtol=0, atol=tol)
+        c22 = covariance_matrix(pred, IdentityMap(), cov)
+        assert_allclose(root @ root.T, c22 - c12.T @ w, rtol=0, atol=tol)
+
+
+class TestKrigingMemory:
+    def test_cross_covariance_is_multiplied_in_place(self):
+        # V overwrites the cross-covariance, so the peak holds it and the
+        # distances it is built from, and no copy
+        rng = np.random.default_rng(33)
+        n, m = 400, 10_000
+        sites = rng.uniform(0.0, 1.0, (n, 2))
+        pred = rng.uniform(0.0, 1.0, (m, 2))
+        built = []
+
+        def record(*args, **kwargs):
+            built.append(exp_covariance(*args, **kwargs))
+            return built[-1]
+
+        with mock.patch("spatdeform.fields.exp_covariance", side_effect=record):
+            tracemalloc.start()
+            try:
+                system = KrigingSystem(make_model(CovParams(1.0, 0.3, 0.1)), sites,
+                                       rng.normal(size=n), pred)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 2.5 * n * m * 8
+        assert np.shares_memory(system.v, built[-1])
 
 
 class TestConditionalSimulate:
