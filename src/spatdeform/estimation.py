@@ -17,7 +17,9 @@ Marshall 1984).  The range phi is held within the ascent: a common
 scale of the coefficients and of phi gives the same covariance, so the
 scale of the map carries the range, and the gauge normalization hands
 it back to phi.  The non-folding margin is taken in the normalized
-gauge, so it bars no scale of the map, and with it no range.
+gauge, so it bars no scale of the map, and with it no range.  The
+ascent runs the interior-point method of the constrained least squares,
+with the fitted centroid and rotation held by three linear gauge rows.
 
 The ascent maximizes a penalized likelihood: a scale-free
 second-difference roughness of the coefficients (P-splines, Eilers &
@@ -34,8 +36,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 from scipy.linalg import lapack, solve_triangular
-from scipy.optimize import minimize
 from scipy.spatial.distance import cdist, pdist
 
 from .basis import KnotGrid, design_matrix, difference_penalty
@@ -51,8 +53,6 @@ from .covariance import (
 from .deformation import (
     CoefPair,
     DeformationMap,
-    _corner_tables,
-    _corner_values_and_jac,
     coef_to_vec,
     corner_values,
     default_epsilon,
@@ -69,6 +69,7 @@ from .errors import (
     SpatdeformError,
 )
 from .scaling import ProcrustesTransform, procrustes
+from .smoothers import _interior_point
 
 __all__ = [
     "Dataset",
@@ -243,10 +244,12 @@ class _LikelihoodState:
 
     @functools.cached_property
     def cinv(self) -> np.ndarray:
-        # LAPACK potri: about a third of the work of solving against I;
-        # it fills only the lower triangle of C^-1
+        # LAPACK potri: about a third of the work of solving against I; it
+        # fills only the lower triangle of C^-1, mirrored here in place
         inv = lapack.dpotri(self.lower, lower=1)[0]
-        return np.tril(inv) + np.tril(inv, -1).T
+        out = np.tril(inv)
+        out += np.triu(inv.T, 1)
+        return out
 
     @functools.cached_property
     def profiled_grad(self) -> np.ndarray:
@@ -382,13 +385,12 @@ class CoefObjective:
     ``want_grad=False`` the gradient is None and the value costs one
     factorization and one triangular solve.  Non-positive-definite
     covariances give 1e300.  The state of the last point is kept, so the
-    gradient or information asked for there (SLSQP asks for the gradient
-    where it took its last value, and the next pass starts where the last
-    one ended) reuses its factorization.
+    gradient or information asked for there reuses its factorization.
     """
 
     def __init__(self, dataset: Dataset, grid: KnotGrid):
         self.zc = dataset.demeaned()
+        self.sites = dataset.sites
         self.w = design_matrix(grid, dataset.sites).toarray()
         self.penalty = SmoothnessPenalty.for_sites(grid, dataset.sites)
         self._key, self._state = None, None
@@ -396,8 +398,7 @@ class CoefObjective:
     def state(self, x: np.ndarray, phi: float) -> _LikelihoodState:
         key = (np.asarray(x, dtype=float).tobytes(), phi)
         if key != self._key:
-            # SLSQP keeps to the rows g >= 0 only up to rounding
-            self._state = _LikelihoodState.at(self.zc, self.w, x[:-1], max(x[-1], 0.0), phi)
+            self._state = _LikelihoodState.at(self.zc, self.w, x[:-1], x[-1], phi)
             self._key = key
         return self._state
 
@@ -420,6 +421,8 @@ class CoefObjective:
 # the quadratic model it iterates on is only local.  Fits agree for
 # factors from 3 to 100; unbounded, the weight diverges on stationary data
 PENALTY_STEP_REACH = 10.0
+# z'Sz at or below this fraction of ||S||_2 |z|^2 is rounding noise
+ROUNDING_FLOOR = 1e-10
 
 
 def _penalty_update(lam: float, info: np.ndarray, penalty: SmoothnessPenalty,
@@ -440,7 +443,9 @@ def _penalty_update(lam: float, info: np.ndarray, penalty: SmoothnessPenalty,
     Returns the next weight and the effective degrees of freedom
     tr((I + lam S)^+ I) at the current weight.  The pseudo-inverses
     drop the gauge directions (shifts) on which both I and S vanish.
-    The weight stays 0 when S is zero and keeps its value when z'Sz = 0.
+    The weight stays 0 when S is zero and keeps its value when z'Sz is 0
+    up to rounding (ROUNDING_FLOOR), as at an affine map, where its noise
+    would give a weight near 1e15.
     It also keeps its value, with 0 effective degrees of freedom, when I
     is zero (every off-diagonal correlation underflowed) or so small that
     the weights it implies overflow.
@@ -469,7 +474,7 @@ def _penalty_update(lam: float, info: np.ndarray, penalty: SmoothnessPenalty,
     if penalty.rank == 0:
         return 0.0, edf
     quad = float(z @ s @ z)
-    if quad <= 0.0:
+    if quad <= ROUNDING_FLOOR * np.linalg.norm(s, 2) * float(z @ z):
         return lam, edf
     c = g.T @ ((info + lam * s) @ z)
 
@@ -492,13 +497,12 @@ def _penalty_update(lam: float, info: np.ndarray, penalty: SmoothnessPenalty,
     return l, edf
 
 
-# eigenvalues of the preconditioning metric are floored at this fraction
-# of the largest: the shift and rotation gauge directions, on which the
-# likelihood is flat to first order, get a large but finite scale.  With
-# the range held, a long step along the rotation tangent also grows the
-# map, which the likelihood feels; at 1e-6 such steps stalled ascents
-# that must rescale the map far
-PRECONDITION_FLOOR = 1e-4
+# the metric gains this fraction of its trace along S, a curvature for
+# coefficients with no site in their support, and the barrier this weight
+# of S / (tau1 tau2), so that it does not drive them off
+ROUGHNESS_CURVATURE = 1e-3
+BARRIER_ROUGHNESS = 0.1
+G_START = 1e-8  # where a nugget ratio that starts on its bound g = 0 starts
 
 
 def refine_coords_ml(
@@ -513,103 +517,48 @@ def refine_coords_ml(
     """Ascend the penalized replicate likelihood over the coefficients and
     the nugget-to-sill ratio.
 
-    The covariance is written sigma2 (R_phi + g I), with sigma2 profiled
-    out in closed form and the range phi held at ``cov.phi``: a common
-    scale of the coefficients and phi gives the same covariance, so the
-    scale of the map carries the range.  Maximizes ``l - lam / 2 *
-    penalty`` over x = (z, g), the stacked coefficient matrices and g,
-    starting from ``coef`` and the ratio of ``cov``, under the non-folding
-    corner constraints and 0 <= g <= G_MAX (two linear rows), by SLSQP
-    with the analytic gradient; ``lam == 0`` is plain maximum likelihood.
-    The corner margin is taken in the gauge that ``normalize_gauge``
-    gives, corner |J| q0 / spread >= epsilon with q0 the sites' spread and
-    spread the fitted one's, so it bars no scale of the map, and with it
-    no range.
-    SLSQP starts from an identity quasi-Newton matrix, so it runs in
-    variables u with x = x0 + V diag(beta)^-1/2 u, where V diag(beta) V'
-    is the metric H = I(x0) + lam * M(z0): the information of x with
-    sigma2 profiled out, at the start, plus the penalty's quadratic form
-    on z.  The eigenvalues beta are floored at PRECONDITION_FLOOR of the
-    largest, which covers the gauge directions (shift and rotation) where
-    the likelihood is flat.  Returns the best feasible coefficients
-    found, never worse than the start and not yet gauge-normalized, with
-    the covariance (sigma2, phi, g sigma2) at them, sigma2 the profiled
-    one; warns when SLSQP does not report success.  ``objective`` holds
-    the dataset on ``grid``; its last state is reused, so a caller that
-    evaluates the same point elsewhere pays for one factorization.
+    The covariance is sigma2 (R_phi + g I), sigma2 profiled out and phi
+    held at ``cov.phi`` (the scale of the map carries the range).
+    ``smoothers._interior_point`` maximizes ``l - lam / 2 * penalty``
+    over x = (z, g) from ``coef`` and the ratio of ``cov`` (at least
+    G_START) on the model I(x) - u u' + lam M(z), the information with
+    sigma2 profiled out plus the penalty's form, under the margin of
+    ``normalize_gauge``'s gauge, |J| - epsilon spread / q0 >= 0 (q0 the
+    sites' spread), 0 <= g <= G_MAX, and three gauge rows held at the
+    start: the fitted centroid and the antisymmetric part of sum (y_i -
+    ybar)(s_i - sbar)', which rotations move.  Returns feasible
+    coefficients no worse than the start, not gauge-normalized, and the
+    covariance (sigma2, phi, g sigma2) at them; warns when the solver
+    stops short.  The last state of ``objective`` is reused.
     """
-    tables = _corner_tables(grid)
-    phi = cov.phi
+    phi, penalty, wc = cov.phi, objective.penalty, objective.penalty.wc
+    x0 = np.append(coef_to_vec(coef), max(cov.nugget / cov.sigma2, G_START))
+    roughness = np.kron(np.eye(2), penalty.s)
 
-    def value(x):
-        # most points SLSQP visits are line-search trials that need no gradient
-        return objective(x, phi, lam, want_grad=False)[0]
+    def metric(x):
+        info, sill_part = objective.state(x, phi).information
+        out = info - np.outer(sill_part, sill_part)
+        out[:-1, :-1] += lam * penalty.matrix(x[:-1]) + roughness * (
+            ROUGHNESS_CURVATURE * np.trace(out) / (np.trace(roughness) or 1.0))
+        return out
 
-    def result(x, sill):
-        return (vec_to_coef(grid, x[:-1], validated=True),
-                CovParams(float(sill), float(phi), float(max(x[-1], 0.0) * sill)))
-
-    x0 = np.append(coef_to_vec(coef), cov.nugget / cov.sigma2)
-    start = objective.state(x0, phi)
-    best = {"x": x0.copy(), "f": value(x0), "sill": start.sill}
-
-    info, sill_part = start.information
-    metric = info - np.outer(sill_part, sill_part)
-    if lam > 0:
-        metric[:-1, :-1] += lam * objective.penalty.matrix(x0[:-1])
-    if not metric[:-1].any():
-        # no coefficient moves the objective: zero information means that
-        # every off-diagonal correlation underflowed, so C = (1 + g) I
-        # whatever x, and the profiled objective is flat, with no ascent
-        return result(x0, best["sill"])
-    beta, v = np.linalg.eigh(metric)
-    scale = v / np.sqrt(np.maximum(beta, PRECONDITION_FLOOR * beta.max()))
-
-    def to_x(u):
-        return x0 + scale @ u
-
-    # the margin |J| q0 / spread >= epsilon, written |J| - epsilon spread /
-    # q0 >= 0: both terms are quadratic in z, and spread = |wc z|^2
-    wc, rate = objective.penalty.wc, epsilon / objective.penalty.q0
-
-    def excess(z, want_jac):
-        vals, jac = _corner_values_and_jac(grid, z, tables, want_jac)
-        spread_grad = (wc.T @ (wc @ z.reshape(2, -1).T)).T.ravel()
-        vals = vals - rate * float(z @ spread_grad)
-        return vals, (jac - 2.0 * rate * spread_grad if want_jac else None)
-
-    def constraint_fun(u):
-        x = to_x(u)
-        vals = excess(x[:-1], False)[0]
-        if vals.min() >= -1e-9:
-            f = value(x)
-            if f < best["f"]:
-                best.update(x=x.copy(), f=f, sill=objective.state(x, phi).sill)
-        return np.concatenate([vals, [x[-1], G_MAX - x[-1]]])
-
-    def constraint_jac(u):
-        jac = excess(to_x(u)[:-1], True)[1]
-        return np.vstack([jac @ scale[:-1], scale[-1], -scale[-1]])
-
-    res = minimize(
-        lambda u: value(to_x(u)),
-        np.zeros(x0.size),
-        jac=lambda u: scale.T @ objective(to_x(u), phi, lam)[1],
-        method="SLSQP",
-        constraints=[{"type": "ineq", "fun": constraint_fun, "jac": constraint_jac}],
-        options={"maxiter": max_iter, "ftol": 1e-10},
-    )
-    if not res.success:
-        # SLSQP's exit mode 9 is its iteration limit
-        limit = f", iteration limit ({max_iter})" if res.status == 9 else ""
-        warnings.warn(
-            f"likelihood ascent did not succeed after {res.nit} iterations{limit}: "
-            f"{res.message}; returning the best feasible iterate",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    constraint_fun(res.x)  # keeps the solver's answer if it is the best feasible point
-    return result(best["x"], best["sill"])
+    centred, wbar = objective.sites - objective.sites.mean(axis=0), objective.w.mean(axis=0)
+    gauge = np.zeros((3, x0.size))
+    gauge[0, :wbar.size], gauge[1, wbar.size:-1] = wbar, wbar
+    gauge[2, :-1] = np.concatenate([wc.T @ centred[:, 1], -(wc.T @ centred[:, 0])])
+    box = np.zeros((2, x0.size))
+    box[:, -1] = 1.0, -1.0
+    flat = scipy.linalg.block_diag(BARRIER_ROUGHNESS / (grid.tau1 * grid.tau2) * roughness, 0.0)
+    x, failure = _interior_point(
+        grid, lambda x, want_grad: objective(x, phi, lam, want_grad), metric, x0, 0.0,
+        max_iter, rate=epsilon / penalty.q0, spread=wc.T @ wc,
+        rows=(box, np.array([0.0, -G_MAX])), gauge=gauge, flat=flat)
+    if failure is not None:
+        warnings.warn(f"likelihood ascent did not succeed: {failure}; "
+                      "returning the best feasible iterate", RuntimeWarning, stacklevel=2)
+    sill = objective.state(x, phi).sill
+    return (vec_to_coef(grid, x[:-1], validated=True),
+            CovParams(float(sill), float(phi), float(x[-1] * sill)))
 
 
 def normalize_gauge(dmap: DeformationMap, sites) -> tuple[DeformationMap, ProcrustesTransform]:

@@ -4,10 +4,11 @@ Two ways to turn noisy target coordinates into a smooth deformation:
 the classical thin-plate spline (used as the comparison baseline) and a
 tensor-product B-spline least-squares fit with explicit non-folding
 corner constraints.  The constrained fit is a convex quadratic in the
-2 K1 K2 coefficients under 4 (K1-1)(K2-1) bilinear corner constraints;
-it is solved by a dense primal-dual interior-point Newton method (Boyd
-& Vandenberghe 2004, ch. 11; Nocedal & Wright 2006, ch. 19) from a
-strictly interior blend of the unconstrained optimum and an affine map.
+2 K1 K2 coefficients under 4 (K1-1)(K2-1) bilinear corner constraints,
+solved from an affine map by ``_interior_point``, a dense primal-dual
+interior-point Newton method (Boyd & Vandenberghe 2004, ch. 11; Nocedal
+& Wright 2006, ch. 19; Waechter & Biegler 2006) that also runs the
+likelihood ascent of ``estimation``, on a Hessian model.
 """
 
 from __future__ import annotations
@@ -256,28 +257,20 @@ def _feasible_start(grid, sites, targets, epsilon) -> CoefPair:
     )
 
 
-# the interior-point solve starts where every corner keeps at least this
-# fraction of the affine start's slack |J| - epsilon
-START_SLACK_FRACTION = 0.1
-# a step may use up at most this fraction of any corner's slack
+# a step may use up at most this fraction of any row's slack
 BOUNDARY_FRACTION = 0.995
-# the barrier weight falls by this factor once its subproblem is solved
+# the barrier weight starts at this fraction of the predicted gain per
+# row, and falls by this factor once its subproblem is solved
 BARRIER_DECREASE = 0.1
-# the solve stops at the barrier weight whose duality gap (weight times
-# the number of corners) is this fraction of what the start can gain:
-# its objective less the unconstrained minimum
-GAP_TOLERANCE = 1e-8
+# the solve stops at the duality gap (weight times rows) that is the
+# larger of these fractions of the predicted gain and of 1 + |f(start)|
+GAP_TOLERANCE, VALUE_TOLERANCE = 1e-8, 1e-10
 
 
 def _boundary_step(slack, slope, curvature) -> float:
-    """Largest step in (0, 1] that uses up at most BOUNDARY_FRACTION of
-    any slack.
-
-    Along a direction each corner slack is quadratic in the step length
-    a: slack + a slope + a^2 curvature.  The bound is its least positive
-    crossing of (1 - BOUNDARY_FRACTION) slack, from the root formula
-    that does not cancel.
-    """
+    """Largest step a in (0, 1] that uses up at most BOUNDARY_FRACTION of any
+    slack + a slope + a^2 curvature: its least positive crossing of (1 -
+    BOUNDARY_FRACTION) slack, by the root formula that does not cancel."""
     c = BOUNDARY_FRACTION * slack
     disc = slope * slope - 4.0 * curvature * c
     den = -slope + np.sqrt(np.maximum(disc, 0.0))
@@ -285,101 +278,161 @@ def _boundary_step(slack, slope, curvature) -> float:
     return min(1.0, float(np.min(2.0 * c[hits] / den[hits]))) if hits.any() else 1.0
 
 
-def _interior_point_ls(grid: KnotGrid, gmat, cvec, y_norm2, z_unc, z0, epsilon,
-                       max_iter) -> np.ndarray:
-    """Primal-dual interior-point Newton on the non-folding least squares.
+def _shifted_cholesky(mat):
+    """Cholesky factor of ``mat`` plus the least diagonal shift that factors."""
+    shift = 0.0
+    while True:
+        try:
+            return cho_factor(mat + shift * np.eye(len(mat)), lower=True)
+        except np.linalg.LinAlgError:
+            shift = max(4.0 * shift, 1e-10 * np.abs(np.diag(mat)).max(), np.finfo(float).tiny)
 
-    Minimizes f(z) = sum_k (v_k' G v_k - 2 c_k' v_k) + |y|^2 over the
-    stacked coefficients z = (v_1, v_2) subject to every corner value
-    |J|(z) > epsilon, from the strictly interior point ``z0``.  Each
-    Newton step solves (H_L + J' diag(lam / s) J) dz = -grad of the
-    barrier f - mu sum log s, with s the corner slacks, J their Jacobian
-    and H_L the Hessian of the Lagrangian: the objective's 2 G blocks
-    less the dual-weighted constant Hessians of the bilinear corner
-    values.  A diagonal shift is added while Cholesky fails.  The step
-    length is the exact fraction-to-boundary bound, backtracked on the
-    barrier merit; mu falls by BARRIER_DECREASE whenever the Newton
-    decrement drops below it.  Warns on every exit that misses the
-    stopping test, and never returns a point with a higher objective
-    than ``z0``.
+
+def _interior_point(grid: KnotGrid, fun, hess, x0, epsilon, max_iter, rate=0.0,
+                    spread=None, rows=None, gauge=None, flat=None):
+    """Primal-dual interior-point Newton method under the non-folding rows.
+
+    Minimizes f over x (its first 2 K1 K2 entries the coefficients z)
+    from the strictly interior ``x0``; ``fun(x, want_grad)`` gives f and
+    its gradient, ``hess(x)`` a model of its Hessian.  The rows kept
+    positive are |J|(z) - epsilon - rate z'Qz, Q = I2 kron ``spread``, and
+    A x - b, ``rows`` = (A, b); ``gauge`` x = ``gauge`` x0 is eliminated.
+    Newton steps on the merit f - mu sum log s + mu n_J log z'Qz + mu/2
+    (x - x0)'F(x - x0) (s the slacks, n_J corner rows; the log term makes
+    the barrier one of |J| / z'Qz - rate, which no scale of the map
+    moves, and F = ``flat`` holds the directions on which f is flat) use
+    the model less the dual-weighted row Hessians plus J' diag(lam / s)
+    J, take the exact fraction-to-boundary length (slacks are quadratic
+    along a step), widened by a second-order correction, and backtrack.
+    BFGS updates the model; it is asked for again after a step that gains
+    under a quarter of its prediction or curves under a fifth as much.
+    mu starts at BARRIER_DECREASE of the predicted gain g'H^-1 g / 2 per
+    row and falls by that factor whenever the Newton decrement drops
+    below it; no multiplier starts above the one that balances the
+    gradient alone.
+
+    Returns a strictly feasible point no worse than ``x0``, and None or
+    what stopped the solve short of its stopping test.
     """
-    m = grid.k1 * grid.k2
-    tables = _corner_tables(grid)
-    n_con = tables["u_hi"].size
-    scale = 1.0 / (grid.tau1 * grid.tau2)
-    # corner value i is scale * ((a_i v1)(b_i v2) - (b_i v1)(a_i v2))
-    rows = np.arange(n_con)
-    a = np.zeros((n_con, m))
-    b = np.zeros((n_con, m))
-    a[rows, tables["u_hi"]], a[rows, tables["u_lo"]] = 1.0, -1.0
-    b[rows, tables["v_hi"]], b[rows, tables["v_lo"]] = 1.0, -1.0
+    m, tables = grid.k1 * grid.k2, _corner_tables(grid)
+    n_corner = tables["u_hi"].size
+    # corner value i is ((a_i v1)(b_i v2) - (b_i v1)(a_i v2)) / (tau1 tau2)
+    a, b, corner = np.zeros((n_corner, m)), np.zeros((n_corner, m)), np.arange(n_corner)
+    a[corner, tables["u_hi"]], a[corner, tables["u_lo"]] = 1.0, -1.0
+    b[corner, tables["v_hi"]], b[corner, tables["v_lo"]] = 1.0, -1.0
+    lin_a, lin_b = rows if rows is not None else (np.zeros((0, x0.size)), np.zeros(0))
+    q = scipy.linalg.block_diag(spread, spread) if rate else np.zeros((2 * m, 2 * m))
+    flat = np.zeros((x0.size, x0.size)) if flat is None else flat
+    # P: I on the free entries, -E_d^-1 E_f on those d the gauge E fixes
+    gauge = np.zeros((0, x0.size)) if gauge is None else gauge
+    fixed = np.sort(scipy.linalg.qr(gauge, pivoting=True, mode="r")[1][:len(gauge)]
+                    if gauge.size else np.arange(0))
+    free = np.setdiff1d(np.arange(x0.size), fixed)
+    dep = -np.linalg.solve(gauge[:, fixed], gauge[:, free])
 
-    def objective(z):
-        v = z.reshape(2, m)
-        return float(np.einsum("im,mk,ik->", v, gmat, v) - 2.0 * np.sum(v * cvec.T)) + y_norm2
+    def reduce(v):  # P'v, or P'vP
+        if v.ndim == 2:
+            v = v[:, free] + v[:, fixed] @ dep
+        return v[free] + dep.T @ v[fixed]
 
-    def corners(z):
-        return _corner_values_and_jac(grid, z, tables, want_jac=False)[0]
+    def expand(u):
+        out = np.empty(x0.size)
+        out[free], out[fixed] = u, dep @ u
+        return out
 
-    def merit(z, mu):
-        s = corners(z) - epsilon
-        return objective(z) - mu * float(np.sum(np.log(s))) if s.min() > 0 else np.inf
+    def slacks(x, want_jac=True):
+        z = x[:2 * m]
+        vals, jac = _corner_values_and_jac(grid, z, tables, want_jac)
+        s = np.concatenate([vals - epsilon - rate * float(z @ q @ z), lin_a @ x - lin_b])
+        if not want_jac:
+            return s
+        full = np.vstack([np.zeros((n_corner, x.size)), lin_a])
+        full[:n_corner, :2 * m] = jac - 2.0 * rate * (q @ z)
+        return s, full
 
-    gain = objective(z0) - objective(z_unc)
-    mu, mu_min = BARRIER_DECREASE * gain / n_con, GAP_TOLERANCE * gain / n_con
-    z = z0
-    lam = mu / (corners(z) - epsilon)
-    failure = f"stopped at the iteration limit ({max_iter})"
-    for it in range(1, max_iter + 1):
-        vals, jac = _corner_values_and_jac(grid, z, tables)
-        s = vals - epsilon
-        cross = scale * (a.T @ (lam[:, None] * b) - b.T @ (lam[:, None] * a))
-        hess = jac.T @ ((lam / s)[:, None] * jac)
-        hess[:m, :m] += 2.0 * gmat
-        hess[m:, m:] += 2.0 * gmat
-        hess[:m, m:] -= cross
-        hess[m:, :m] += cross
-        shift = 0.0
+    def curvature(dx):  # the rows' second-order part along dx
+        return slacks(dx, False) + np.concatenate([np.full(n_corner, epsilon), lin_b - lin_a @ dx])
+
+    def merit(x, f, s):
+        log_spread = n_corner * np.log(x[:2 * m] @ q @ x[:2 * m]) if rate else 0.0
+        return f + mu * (log_spread - np.sum(np.log(s)) + 0.5 * (x - x0) @ flat @ (x - x0))
+
+    x, (f, grad) = x0, fun(x0, True)
+    f0, model, r0 = f, hess(x0), reduce(grad)
+    # at most |f(x0)|: near a flat direction of the model it can be absurd
+    gain = min(0.5 * float(r0 @ cho_solve(_shifted_cholesky(reduce(model)), r0)), abs(f0))
+    # a gain of rounding is none: on a flat f the barrier alone would move
+    if not gain > np.finfo(float).eps * (1.0 + abs(f0)):
+        return x0, None
+    s, jac = slacks(x)
+    mu_min = max(GAP_TOLERANCE * gain, VALUE_TOLERANCE * (1.0 + abs(f0))) / s.size
+    mu = max(BARRIER_DECREASE * gain / s.size, mu_min)
+    reach = np.linalg.norm(jac[:, free] + jac[:, fixed] @ dep, axis=1)
+    lam = np.minimum(mu / s, np.linalg.norm(r0) / np.maximum(reach, 1e-300))
+    it, failure = 0, None
+    while True:
+        dual = lam[:n_corner, None]
+        cross = (a.T @ (dual * b) - b.T @ (dual * a)) / (grid.tau1 * grid.tau2)
+        kkt = model + mu * flat + jac.T @ ((lam / s)[:, None] * jac)
+        kkt[:m, m:2 * m] -= cross
+        kkt[m:2 * m, :m] += cross
+        spread_grad = np.zeros(x.size)
+        if rate:
+            qz = q @ x[:2 * m]
+            spread_now = float(x[:2 * m] @ qz)
+            spread_grad[:2 * m] = (2.0 * n_corner / spread_now) * qz
+            kkt[:2 * m, :2 * m] += (
+                (2.0 * rate * float(np.sum(dual)) + 2.0 * mu * n_corner / spread_now) * q
+                - (4.0 * mu * n_corner / spread_now**2) * np.outer(qz, qz))
+        factor = _shifted_cholesky(reduce(kkt))
         while True:
-            try:
-                factor = cho_factor(hess + shift * np.eye(2 * m), lower=True)
-                break
-            except np.linalg.LinAlgError:
-                shift = max(4.0 * shift, 1e-10 * np.abs(np.diag(hess)).max())
-        grad_f = (2.0 * (z.reshape(2, m) @ gmat) - 2.0 * cvec.T).ravel()
-        while True:
-            grad = grad_f - jac.T @ (mu / s)
-            dz = -cho_solve(factor, grad)
-            decrement = -float(grad @ dz)
+            r = reduce(grad - jac.T @ (mu / s) + mu * (flat @ (x - x0) + spread_grad))
+            du = -cho_solve(factor, r)
+            decrement = -float(r @ du)
             if decrement > mu or mu <= mu_min:
                 break
             mu = max(BARRIER_DECREASE * mu, mu_min)
         if decrement <= mu:
-            failure = None
             break
-        slope = jac @ dz
-        alpha = _boundary_step(s, slope, corners(dz))
-        phi = merit(z, mu)
-        while alpha >= 1e-12 and merit(z + alpha * dz, mu) > phi - 1e-4 * alpha * decrement:
+        it += 1
+        if it > max_iter:
+            failure = f"stopped at the iteration limit ({max_iter})"
+            break
+        dx = expand(du)
+        alpha = _boundary_step(s, jac @ dx, curvature(dx))
+        if alpha < 1.0:  # second-order correction for the rows' curvature
+            du2 = -cho_solve(factor, r + reduce(jac.T @ ((lam / s) * curvature(dx))))
+            dx2 = expand(du2)
+            alpha2 = _boundary_step(s, jac @ dx2, curvature(dx2))
+            if alpha2 > alpha and -float(r @ du2) > 0.0:
+                dx, alpha, decrement = dx2, alpha2, -float(r @ du2)
+        start = merit(x, f, s)
+        while alpha >= 1e-12:
+            trial_s = slacks(x + alpha * dx, want_jac=False)
+            if (trial_s.min() > 0 and merit(x + alpha * dx, fun(x + alpha * dx, False)[0],
+                                            trial_s) <= start - 1e-4 * alpha * decrement):
+                break
             alpha *= 0.5
         if alpha < 1e-12:
             failure = f"line search failed after {it} iterations"
             break
-        dlam = mu / s - lam - (lam / s) * slope
-        shrink = dlam < 0
-        dual_step = min(1.0, float(np.min(-BOUNDARY_FRACTION * lam[shrink] / dlam[shrink]))
-                        ) if shrink.any() else 1.0
-        z = z + alpha * dz
-        s = corners(z) - epsilon
+        dlam = mu / s - lam - (lam / s) * (jac @ dx)
+        dual_step = _boundary_step(lam, dlam, 0.0)
+        step, old_grad, old_f = alpha * dx, grad, f
+        x = x + step
+        f, grad = fun(x, True)
+        change, hs = grad - old_grad, model @ step
+        shs, sy = float(step @ hs), float(step @ change)
+        if sy < 0.2 * shs or f - old_f > 0.25 * (old_grad @ step + 0.5 * shs) < 0.0:
+            model = hess(x)
+        elif shs > 0.0:
+            model = model + np.outer(change, change) / sy - np.outer(hs, hs) / shs
+        s, jac = slacks(x)
         # keep each multiplier within a wide band around mu / s
         lam = np.clip(lam + dual_step * dlam, 1e-10 * mu / s, 1e10 * mu / s)
     if failure is not None:
-        warnings.warn(
-            f"constrained fit: {failure} at barrier weight {mu:.3g}; "
-            "returning the last iterate",
-            RuntimeWarning, stacklevel=3,
-        )
-    return z if objective(z) <= objective(z0) else z0
+        failure += f" at barrier weight {mu:.3g}"
+    return (x if f <= f0 else x0), failure
 
 
 def fit_bspline_constrained(
@@ -394,14 +447,13 @@ def fit_bspline_constrained(
     Minimizes the squared residual of the mapped sites against the
     targets subject to every corner Jacobian being at least ``epsilon``.
     When the unconstrained optimum already satisfies the constraints it
-    is returned directly.
-    Otherwise a primal-dual interior-point Newton solve
-    (``_interior_point_ls``) starts from the blend of the unconstrained
-    optimum and the affine feasible start (``_feasible_start``) nearest
-    the optimum that keeps START_SLACK_FRACTION of the start's slack.
-    The result is strictly feasible, its objective is no higher than the
-    feasible start's, and the returned pair is validated.  A
-    rank-deficient design is regularized as in ``_normal_equations``.
+    is returned directly.  Otherwise ``_interior_point``, with the exact
+    Hessian 2 W'W, starts from the affine feasible start
+    (``_feasible_start``) and warns ("constrained fit: ...") when it stops
+    short of its stopping test.  The result is strictly feasible, its
+    objective is no higher than the feasible start's, and the returned
+    pair is validated.  A rank-deficient design is regularized as in
+    ``_normal_equations``.
     """
     sites = np.asarray(sites, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -416,17 +468,14 @@ def fit_bspline_constrained(
         return CoefPair(unconstrained.theta1, unconstrained.theta2, validated=True)
 
     gmat, cvec = _normal_equations(grid, sites, targets)
-    start = _feasible_start(grid, sites, targets, epsilon)
-    start_slack = corner_values(grid, start).min() - epsilon
-
-    # pull the unconstrained optimum toward the feasible start until every
-    # corner keeps a fraction of the start's slack
-    z_unc, z_start = coef_to_vec(unconstrained), coef_to_vec(start)
-    for t in np.geomspace(1e-4, 1.0, 30):
-        z0 = (1.0 - t) * z_unc + t * z_start
-        slack = corner_values(grid, vec_to_coef(grid, z0)).min() - epsilon
-        if slack >= START_SLACK_FRACTION * start_slack:
-            break
-    z = _interior_point_ls(grid, gmat, cvec, float(np.sum(targets**2)), z_unc, z0,
-                           epsilon, max_iter)
+    z0 = coef_to_vec(_feasible_start(grid, sites, targets, epsilon))
+    # the squared residual z'Hz / 2 - c'z + |targets|^2, with H = 2 W'W
+    hess, c = scipy.linalg.block_diag(2.0 * gmat, 2.0 * gmat), 2.0 * cvec.T.ravel()
+    z, failure = _interior_point(
+        grid, lambda z, want: (0.5 * z @ hess @ z - c @ z + float(np.sum(targets**2)),
+                               hess @ z - c if want else None),
+        lambda z: hess, z0, epsilon, max_iter)
+    if failure is not None:
+        warnings.warn(f"constrained fit: {failure}; returning the last iterate",
+                      RuntimeWarning, stacklevel=2)
     return vec_to_coef(grid, z, validated=True)

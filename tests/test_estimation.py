@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import cho_factor, cho_solve, lapack, solve_triangular
-from scipy.optimize import OptimizeResult
 from scipy.spatial.distance import cdist
 
 from spatdeform.basis import KnotGrid, design_matrix
@@ -278,27 +277,27 @@ class TestProfiledCovStep:
 
     def test_searches_with_the_analytic_gradient_and_factors_each_matrix_once(
             self, stationary_dataset, monkeypatch):
-        # one SLSQP ascent per pass, with the analytic gradient, and no
-        # matrix factored twice in a row: each pass starts from the state
-        # that ended the one before
+        # one interior-point ascent per pass, with the analytic gradient
+        # and the metric, and no matrix factored twice in a row: each pass
+        # starts from the state that ended the one before
         import spatdeform.estimation as est
 
-        real_factor, real_minimize = est.factor_covariance, est.minimize
+        real_factor, real_solver = est.factor_covariance, est._interior_point
         factored, calls = [], []
 
         def recording_factor(c):
             factored.append(np.array(c))
             return real_factor(c)
 
-        def recording_minimize(fun, x0, **kwargs):
-            calls.append((kwargs.get("method"), callable(kwargs.get("jac"))))
-            return real_minimize(fun, x0, **kwargs)
+        def recording_solver(grid, fun, hess, x0, *args, **kwargs):
+            calls.append((fun(x0, True)[1].shape, hess(x0).shape))
+            return real_solver(grid, fun, hess, x0, *args, **kwargs)
 
         monkeypatch.setattr(est, "factor_covariance", recording_factor)
-        monkeypatch.setattr(est, "minimize", recording_minimize)
+        monkeypatch.setattr(est, "_interior_point", recording_solver)
         model = est.fit(stationary_dataset, FitConfig(k1=4, k2=4, tol=0.0, max_outer=3))
         assert model.diagnostics.iterations == 3
-        assert calls == [("SLSQP", True)] * 3
+        assert calls == [((33,), (33, 33))] * 3
         assert len(factored) > 3
         assert not any(np.array_equal(a, b) for a, b in zip(factored, factored[1:]))
 
@@ -333,22 +332,21 @@ class TestRefineCoordsMl:
                 >= loglik(ds, DeformationMap(grid, start), cov))
 
     def test_warning_carries_the_solver_message(self, problem, monkeypatch):
-        # only SLSQP's exit mode 9 is its iteration limit; any other
-        # failure is reported in SLSQP's own words
+        # a solve that stops short is reported in the solver's own words,
+        # and the start comes back
         import spatdeform.estimation as est
 
-        def failing_minimize(fun, x0, **kwargs):
-            return OptimizeResult(x=np.zeros_like(x0), success=False, status=8, nit=7,
-                                  message="Positive directional derivative for linesearch")
+        def failing_solver(grid, fun, hess, x0, *args, **kwargs):
+            return x0, "line search failed after 7 iterations at barrier weight 0.001"
 
-        monkeypatch.setattr(est, "minimize", failing_minimize)
+        monkeypatch.setattr(est, "_interior_point", failing_solver)
         ds, cov, grid = problem
         start = identity_coef(grid)
         with pytest.warns(RuntimeWarning) as record:
             refined, _ = ascend(ds, cov, grid, start, epsilon=1e-3)
         messages = [str(w.message) for w in record]
-        assert any("after 7 iterations: Positive directional derivative for linesearch" in m
-                   for m in messages), messages
+        assert any("likelihood ascent did not succeed: line search failed after 7 iterations"
+                   in m for m in messages), messages
         assert not any("iteration limit" in m for m in messages), messages
         assert np.array_equal(coef_to_vec(refined), coef_to_vec(start))
 
@@ -511,6 +509,19 @@ class TestSmoothnessPenalty:
                 < pen.value_and_grad(coef_to_vec(plain))[0])
 
 
+@pytest.mark.parametrize("n", [7, 121, 400])
+def test_inverse_is_the_two_copy_symmetrization_bit_for_bit(n):
+    # the state mirrors potri's lower triangle in place; the reference in
+    # reference_negloglik_and_grad adds two tril copies
+    sites = np.random.default_rng(n).uniform(size=(n, 2))
+    c = covariance_matrix(sites, IdentityMap(), CovParams(1.0, 0.3, 0.2))
+    state = _LikelihoodState(np.zeros((n, 2)), c)
+    inv = lapack.dpotri(state.lower, lower=1)[0]
+    reference = np.tril(inv) + np.tril(inv, -1).T
+    assert np.array_equal(state.cinv, reference)
+    assert np.array_equal(state.cinv, state.cinv.T)
+
+
 def test_each_state_is_factored_once(swirl_problem, monkeypatch):
     # the ascent's start value and its metric share one factorization, and
     # so does each SLSQP gradient with the value at the same point before it
@@ -606,6 +617,25 @@ class TestFisherInformation:
         assert _penalty_update(7.0, info, pen, z) == (7.0, 0.0)
         tiny = 1e-310 * coef_fisher_information(ds, CovParams(1.0, 0.3, 0.5), grid, coef)
         assert _penalty_update(7.0, tiny, pen, z) == (7.0, 0.0)
+
+    @pytest.mark.parametrize("k", [4, 6, 8])
+    @pytest.mark.parametrize("lam", [0.0, 5.0])
+    def test_weight_update_keeps_the_weight_at_the_identity(self, k, lam):
+        # at an affine map z'Sz is rounding noise (about 1e-15), whose plain
+        # Fellner-Schall step is a weight near 1e15
+        sites = np.random.default_rng(29).uniform(size=(30, 2))
+        z = simulate_grf(sites, IdentityMap(), CovParams(1.0, 0.3, 0.5), t=40, seed=30)
+        ds = Dataset(sites, z)
+        lo, hi = sites.min(axis=0), sites.max(axis=0)
+        grid = KnotGrid(lo[0], hi[0], lo[1], hi[1], k, k)
+        coef = identity_coef(grid)
+        info = coef_fisher_information(ds, CovParams(1.0, 0.3, 0.5), grid, coef)
+        pen = SmoothnessPenalty.for_sites(grid, sites)
+        vec = coef_to_vec(coef)
+        assert vec @ pen.matrix(vec) @ vec != 0.0
+        next_lam, edf = _penalty_update(lam, info, pen, vec)
+        assert next_lam == lam
+        assert np.isfinite(edf)
 
     def test_weight_update_is_the_fixed_point_on_the_quadratic_model(self, swirl_problem):
         ds, cov, grid = swirl_problem
@@ -847,16 +877,11 @@ class TestFit:
         # was, which is no sign that the fit has settled
         import spatdeform.estimation as est
 
-        real_minimize = est.minimize
+        def stalled_solver(grid, fun, hess, x0, *args, **kwargs):
+            return x0, "line search failed after 1 iterations at barrier weight 0.1"
 
-        def stalled_minimize(fun, x0, **kwargs):
-            if kwargs.get("method") != "SLSQP":
-                return real_minimize(fun, x0, **kwargs)
-            return OptimizeResult(x=np.zeros_like(x0), success=False, status=8, nit=0,
-                                  message="Positive directional derivative for linesearch")
-
-        monkeypatch.setattr(est, "minimize", stalled_minimize)
-        with pytest.warns(RuntimeWarning, match="Positive directional derivative"):
+        monkeypatch.setattr(est, "_interior_point", stalled_solver)
+        with pytest.warns(RuntimeWarning, match="line search failed"):
             model = est.fit(stationary_dataset, FitConfig(k1=4, k2=4, max_outer=3))
         d = model.diagnostics
         assert d.iterations == 3
@@ -909,22 +934,21 @@ class TestFit:
                         rtol=1e-12)
 
     def test_likelihood_ascent_converges(self, monkeypatch):
-        # the simulation study's K=8 fit of seed 1: every SLSQP ascent of
-        # the coefficients ends in success, none at its iteration cap
+        # the simulation study's K=8 fit of seed 1: every interior-point
+        # ascent of the coefficients meets its stopping test
         import warnings
 
         import spatdeform.estimation as est
 
-        real_minimize = est.minimize
+        real_solver = est._interior_point
         outcomes = []
 
-        def recording_minimize(*args, **kwargs):
-            res = real_minimize(*args, **kwargs)
-            if kwargs.get("method") == "SLSQP":
-                outcomes.append((res.success, res.message))
-            return res
+        def recording_solver(*args, **kwargs):
+            x, failure = real_solver(*args, **kwargs)
+            outcomes.append(failure)
+            return x, failure
 
-        monkeypatch.setattr(est, "minimize", recording_minimize)
+        monkeypatch.setattr(est, "_interior_point", recording_solver)
         g = np.linspace(0.0, 1.0, 11)
         sites = np.column_stack([a.ravel() for a in np.meshgrid(g, g, indexing="ij")])
         swirl = Swirl(center=(0.5, 0.5), strength=1.5, radius=0.35)
@@ -933,7 +957,7 @@ class TestFit:
             warnings.simplefilter("always")
             model = est.fit(Dataset(sites, z), FitConfig(k1=8, k2=8))
         assert len(outcomes) == model.diagnostics.iterations
-        assert all(ok for ok, _ in outcomes), outcomes
+        assert outcomes == [None] * len(outcomes)
         assert not [w for w in caught if "likelihood ascent" in str(w.message)]
 
     def test_k2_degenerate_capacity_on_stationary_data(self):
