@@ -25,7 +25,6 @@ __all__ = [
     "exp_covariance",
     "covariance_matrix",
     "factor_covariance",
-    "cholesky_or_raise",
     "sample_dispersions",
     "fit_variogram",
     "variogram_inverse",
@@ -130,14 +129,6 @@ def factor_covariance(c: np.ndarray) -> tuple[np.ndarray, bool]:
         raise NumericalError("covariance matrix has non-finite entries")
     try:
         return cho_factor(c, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as e:
-        raise NumericalError(f"covariance matrix is not positive definite: {e}") from None
-
-
-def cholesky_or_raise(c: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor, raising NumericalError when not PD."""
-    try:
-        return np.linalg.cholesky(c)
     except np.linalg.LinAlgError as e:
         raise NumericalError(f"covariance matrix is not positive definite: {e}") from None
 

@@ -10,7 +10,7 @@ map orientation-preserving and non-folding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,15 +38,11 @@ CORNER_ORDER = ((0, 0), (1, 0), (0, 1), (1, 1))
 
 @dataclass(frozen=True)
 class CoefPair:
-    """The two K1 x K2 coefficient matrices of a deformation.
-
-    ``validated`` marks coefficient pairs whose corner constraints have
-    been checked to clear the positivity margin.
-    """
+    """The two K1 x K2 coefficient matrices of a deformation, which may
+    fold: ``estimation.DeformModel`` checks the corner values."""
 
     theta1: np.ndarray
     theta2: np.ndarray
-    validated: bool = False
 
     def __post_init__(self):
         t1 = np.asarray(self.theta1, dtype=float)
@@ -194,12 +190,12 @@ def coef_to_vec(coef: CoefPair) -> np.ndarray:
     return np.concatenate([coef.theta1.ravel(order="F"), coef.theta2.ravel(order="F")])
 
 
-def vec_to_coef(grid: KnotGrid, z: np.ndarray, validated: bool = False) -> CoefPair:
+def vec_to_coef(grid: KnotGrid, z: np.ndarray) -> CoefPair:
     """Inverse of coef_to_vec."""
     m = grid.k1 * grid.k2
     th1 = z[:m].reshape((grid.k1, grid.k2), order="F")
     th2 = z[m:].reshape((grid.k1, grid.k2), order="F")
-    return CoefPair(th1, th2, validated=validated)
+    return CoefPair(th1, th2)
 
 
 def transform_coef(coef: CoefPair, rotation: np.ndarray, translation: np.ndarray,
@@ -213,11 +209,4 @@ def transform_coef(coef: CoefPair, rotation: np.ndarray, translation: np.ndarray
     r = np.asarray(rotation, dtype=float).reshape(2, 2)
     t = np.asarray(translation, dtype=float).reshape(2)
     new = scale * (th @ r.T) + t
-    # orientation-reversing transforms flip |J| signs, voiding validation
-    preserves = scale > 0 and float(np.linalg.det(r)) > 0
-    return replace(
-        coef,
-        theta1=new[..., 0],
-        theta2=new[..., 1],
-        validated=coef.validated and preserves,
-    )
+    return CoefPair(new[..., 0], new[..., 1])

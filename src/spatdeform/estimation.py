@@ -4,22 +4,22 @@ The fit starts from the identity map, with the covariance of the
 variogram that the sample dispersions trace against the sites' own
 distances.  One outer iteration then ascends the likelihood over the
 coefficient matrices and the nugget-to-sill ratio together, from the
-incumbent ones, and finally removes the gauge freedom
-(shift/rotation/scale of the deformed plane, with the range co-scaled)
-by aligning the fitted coordinates to the sites.  Sampson & Guttorp's
-(1992) dispersion embedding is not run: its configuration could reach
-the passes only as an affine start, which the first pass and the gauge
-normalization reduce to the identity.
+incumbent ones.  Sampson & Guttorp's (1992) dispersion embedding is not
+run: its configuration could reach the passes only as an affine start,
+which the first pass and the gauge normalization reduce to the identity.
 
 The ascent writes the covariance as sigma2 (R_phi + g I), with g the
 nugget-to-sill ratio, and profiles sigma2 out in closed form (Mardia &
-Marshall 1984).  The range phi is held within the ascent: a common
+Marshall 1984).  The range phi is held through the whole fit: a common
 scale of the coefficients and of phi gives the same covariance, so the
-scale of the map carries the range, and the gauge normalization hands
-it back to phi.  The non-folding margin is taken in the normalized
-gauge, so it bars no scale of the map, and with it no range.  The
-ascent runs the interior-point method of the constrained least squares,
-with the fitted centroid and rotation held by three linear gauge rows.
+scale of the map carries the range.  The ascent runs the interior-point
+method of the constrained least squares, with the fitted centroid and
+rotation held by three linear gauge rows.  Its non-folding margin, its
+penalty and the weight update are scale-free, so every pass runs in the
+ascent's chart: the sites' centroid at the origin of the deformed plane,
+and a scale that drifts with the range.  The model is made once, at the
+end: the gauge normalization gives the map the sites' centroid and
+spread and hands the scale back to phi.
 
 The ascent maximizes a penalized likelihood: a scale-free
 second-difference roughness of the coefficients (P-splines, Eilers &
@@ -157,7 +157,11 @@ class FitDiagnostics:
 
 @dataclass(frozen=True)
 class DeformModel:
-    """Fitted deformation, covariance parameters and metadata."""
+    """Fitted deformation, covariance parameters and metadata.
+
+    The map must not fold: a least corner |J| that is not positive
+    raises DataError, which names it.
+    """
 
     grid: KnotGrid
     coef: CoefPair
@@ -166,8 +170,9 @@ class DeformModel:
     diagnostics: FitDiagnostics
 
     def __post_init__(self):
-        if not self.coef.validated:
-            raise ValueError("DeformModel requires validated coefficients")
+        low = float(corner_values(self.grid, self.coef).min())
+        if not low > 0:
+            raise DataError(f"the deformation folds: its least corner |J| is {low:.6g}")
 
     def mapping(self) -> DeformationMap:
         return DeformationMap(self.grid, self.coef)
@@ -369,10 +374,13 @@ class SmoothnessPenalty:
         grad = (2.0 * self.q0 / spread) * (sz - ratio * (self.wc.T @ wz))
         return self.q0 * ratio, grad.T.ravel()
 
+    def spread(self, z) -> float:
+        """The fitted spread z'Qz."""
+        return self._parts(z)[3]
+
     def matrix(self, z) -> np.ndarray:
         """Quadratic form equal to the penalty at ``z``: z' M z = value."""
-        spread = self._parts(z)[3]
-        return (self.q0 / spread) * np.kron(np.eye(2), self.s)
+        return (self.q0 / self.spread(z)) * np.kron(np.eye(2), self.s)
 
 
 class CoefObjective:
@@ -384,8 +392,9 @@ class CoefObjective:
     log-likelihood of the state at x and range phi.  With
     ``want_grad=False`` the gradient is None and the value costs one
     factorization and one triangular solve.  Non-positive-definite
-    covariances give 1e300.  The state of the last point is kept, so the
-    gradient or information asked for there reuses its factorization.
+    covariances give 1e300.  The state of the last point, ``point``, is
+    kept, so the gradient or information asked for there reuses its
+    factorization.
     """
 
     def __init__(self, dataset: Dataset, grid: KnotGrid):
@@ -393,13 +402,14 @@ class CoefObjective:
         self.sites = dataset.sites
         self.w = design_matrix(grid, dataset.sites).toarray()
         self.penalty = SmoothnessPenalty.for_sites(grid, dataset.sites)
-        self._key, self._state = None, None
+        self.point, self._key, self._state = None, None, None
 
     def state(self, x: np.ndarray, phi: float) -> _LikelihoodState:
-        key = (np.asarray(x, dtype=float).tobytes(), phi)
+        x = np.asarray(x, dtype=float)
+        key = (x.tobytes(), phi)
         if key != self._key:
             self._state = _LikelihoodState.at(self.zc, self.w, x[:-1], x[-1], phi)
-            self._key = key
+            self.point, self._key = x.copy(), key
         return self._state
 
     def __call__(self, x: np.ndarray, phi: float, lam: float, want_grad: bool = True):
@@ -522,14 +532,15 @@ def refine_coords_ml(
     ``smoothers._interior_point`` maximizes ``l - lam / 2 * penalty``
     over x = (z, g) from ``coef`` and the ratio of ``cov`` (at least
     G_START) on the model I(x) - u u' + lam M(z), the information with
-    sigma2 profiled out plus the penalty's form, under the margin of
-    ``normalize_gauge``'s gauge, |J| - epsilon spread / q0 >= 0 (q0 the
+    sigma2 profiled out plus the penalty's form, under the margin in the
+    gauge of the returned model, |J| - epsilon spread / q0 >= 0 (q0 the
     sites' spread), 0 <= g <= G_MAX, and three gauge rows held at the
     start: the fitted centroid and the antisymmetric part of sum (y_i -
     ybar)(s_i - sbar)', which rotations move.  Returns feasible
-    coefficients no worse than the start, not gauge-normalized, and the
+    coefficients no worse than the start, in the start's chart, and the
     covariance (sigma2, phi, g sigma2) at them; warns when the solver
-    stops short.  The last state of ``objective`` is reused.
+    stops short.  The last state of ``objective`` is reused, and its
+    last ``point`` is the returned one, x = (z, g) exactly.
     """
     phi, penalty, wc = cov.phi, objective.penalty, objective.penalty.wc
     x0 = np.append(coef_to_vec(coef), max(cov.nugget / cov.sigma2, G_START))
@@ -548,7 +559,9 @@ def refine_coords_ml(
     gauge[2, :-1] = np.concatenate([wc.T @ centred[:, 1], -(wc.T @ centred[:, 0])])
     box = np.zeros((2, x0.size))
     box[:, -1] = 1.0, -1.0
-    flat = scipy.linalg.block_diag(BARRIER_ROUGHNESS / (grid.tau1 * grid.tau2) * roughness, 0.0)
+    # scaled to the start's spread, so that no scale of the map moves it
+    weight = BARRIER_ROUGHNESS / (grid.tau1 * grid.tau2) * penalty.q0 / penalty.spread(x0[:-1])
+    flat = scipy.linalg.block_diag(weight * roughness, 0.0)
     x, failure = _interior_point(
         grid, lambda x, want_grad: objective(x, phi, lam, want_grad), metric, x0, 0.0,
         max_iter, rate=epsilon / penalty.q0, spread=wc.T @ wc,
@@ -557,7 +570,7 @@ def refine_coords_ml(
         warnings.warn(f"likelihood ascent did not succeed: {failure}; "
                       "returning the best feasible iterate", RuntimeWarning, stacklevel=2)
     sill = objective.state(x, phi).sill
-    return (vec_to_coef(grid, x[:-1], validated=True),
+    return (vec_to_coef(grid, x[:-1]),
             CovParams(float(sill), float(phi), float(x[-1] * sill)))
 
 
@@ -611,23 +624,27 @@ MARGIN_HEADROOM = 1.0 + 1e-9
 
 
 def _returned_model(grid: KnotGrid, coef: CoefPair, cov: CovParams, mean: float,
-                    diag: FitDiagnostics, epsilon: float, centre: np.ndarray,
+                    diag: FitDiagnostics, epsilon: float, sites: np.ndarray,
                     index: int) -> DeformModel:
-    """The model built from the iterate of outer pass ``index + 1``.
+    """The model of the iterate of outer pass ``index + 1``, the one place
+    where a fitted map gets its gauge.
 
-    Gauge normalization scales every corner |J| by the square of its
-    scale, so an iterate that met the margin before it can fall short
-    after.  Such a map is lifted by the similarity of scale
-    sqrt(epsilon / min |J|) about ``centre``, with the range co-scaled,
-    so the covariance it implies is unchanged; its margin replaces entry
-    ``index`` of ``diag.margins``.
+    ``normalize_gauge`` gives the ascent's chart the sites' centroid and
+    spread, with the range co-scaled, so the covariance is unchanged.
+    The ascent's margin is taken in this gauge; a map that rounding
+    leaves short of it is lifted by the similarity of scale sqrt(epsilon
+    / min |J|) about the sites' centroid, again with the range
+    co-scaled.  Its margin replaces entry ``index`` of ``diag.margins``.
     """
-    low = diag.margins[index]
+    dmap, gauge = normalize_gauge(DeformationMap(grid, coef), sites)
+    coef, cov = dmap.coef, CovParams(cov.sigma2, cov.phi * gauge.scale, cov.nugget)
+    low = float(corner_values(grid, coef).min())
     if low < epsilon:
         scale = float(np.sqrt(MARGIN_HEADROOM * epsilon / low))
-        coef = transform_coef(coef, np.eye(2), (1.0 - scale) * centre, scale)
+        coef = transform_coef(coef, np.eye(2), (1.0 - scale) * sites.mean(axis=0), scale)
         cov = CovParams(cov.sigma2, cov.phi * scale, cov.nugget)
-        diag.margins[index] = float(corner_values(grid, coef).min())
+        low = float(corner_values(grid, coef).min())
+    diag.margins[index] = low
     return DeformModel(grid=grid, coef=coef, cov=cov, mean=mean, diagnostics=diag)
 
 
@@ -652,26 +669,28 @@ def fit(dataset: Dataset, config: FitConfig) -> DeformModel:
 
     Starts from the identity map, whose corner |J| = 1 must clear
     epsilon (else InfeasibilityError), and from the covariance of
-    ``_initial_cov`` (a FitError when its variogram fit fails).  Then it
-    alternates the likelihood ascent over the coefficients and the
-    nugget-to-sill ratio from the incumbent ones, at the incumbent range,
-    and gauge normalization, which co-scales the range, until the
-    relative change of the penalized log-likelihood drops below ``tol``
-    on a pass whose ascent raised no warning, or ``max_outer`` is
-    reached.  The smoothness-penalty weight starts at 0 and is
-    re-estimated after every gauge normalization by the generalized
-    Fellner-Schall update, using the coefficients' information at the
-    end of the pass; the state that gives it also starts the next
-    ascent.  Every returned model, the best model of a FitError
-    included, has min corner |J| >= epsilon.  Each optimizer warning
-    raised inside is issued again and recorded in the diagnostics'
-    ``messages`` as "pass N: <message>".  Raises FitError carrying the
-    iteration index (and the best model so far, when one exists) on
-    failure.
+    ``_initial_cov`` (a FitError when its variogram fit fails).  Each
+    pass then runs the likelihood ascent over the coefficients and the
+    nugget-to-sill ratio from the incumbent ones, in the ascent's chart:
+    the sites' centroid at the origin and the initial range held, the
+    map's scale carrying the range.  The ascent's last state gives the
+    pass's loglik, the information for the Fellner-Schall update of the
+    penalty weight (which starts at 0) and the next pass's start.  The
+    passes stop once the relative change of the penalized loglik drops
+    below ``tol`` on a pass whose ascent raised no warning, or after
+    ``max_outer``.  ``_returned_model`` makes the returned model, and the
+    best model of a FitError; the per-pass margins are taken in its
+    gauge.  Each optimizer warning raised inside is issued again and
+    recorded in the diagnostics' ``messages`` as "pass N: <message>".
+    Raises FitError carrying the iteration index (and the best model so
+    far, when one exists) on failure.
     """
     grid = _grid_from_sites(dataset.sites, config.k1, config.k2)
     epsilon = config.epsilon if config.epsilon is not None else default_epsilon(grid)
-    coef = identity_coef(grid)
+    sites = dataset.sites
+    # the passes run with the sites' centroid at the origin of the deformed
+    # plane, so that no scale the map drifts to costs it precision
+    coef = transform_coef(identity_coef(grid), np.eye(2), -sites.mean(axis=0))
     if not corner_values(grid, coef).min() > epsilon:
         raise InfeasibilityError(
             f"the identity map's corner |J| = 1 does not clear the margin {epsilon}")
@@ -685,12 +704,15 @@ def fit(dataset: Dataset, config: FitConfig) -> DeformModel:
     def roughness(c):
         return 0.5 * lam * penalty.value_and_grad(coef_to_vec(c))[0] if lam > 0 else 0.0
 
-    def end_state(c, cov):
-        return objective.state(np.append(coef_to_vec(c), cov.nugget / cov.sigma2), cov.phi)
+    def margin(c):
+        # min corner |J| once the fitted spread is scaled to the sites' q0
+        return float(corner_values(grid, c).min()) * penalty.q0 / penalty.spread(coef_to_vec(c))
 
     cov = _initial_cov(dataset, sample_dispersions(dataset.replicates))
-    prev_pll = end_state(coef, cov).profiled_value
-    centre = dataset.sites.mean(axis=0)
+    # each ascent starts at the last one's exact point x = (z, g), handed
+    # over as z and the unit-sill covariance (1, phi, g)
+    phi, g = cov.phi, cov.nugget / cov.sigma2
+    prev_pll = objective.state(np.append(coef_to_vec(coef), g), phi).profiled_value
     # (loglik, coef, cov, pass) of the iterate with the highest penalized
     # loglik, its penalty taken at the current weight
     best: tuple[float, CoefPair, CovParams, int] | None = None
@@ -699,13 +721,10 @@ def fit(dataset: Dataset, config: FitConfig) -> DeformModel:
         label = f"pass {it}"
         try:
             with _noted_warnings(diag.messages, label):
-                coef, cov = refine_coords_ml(objective, cov, grid, coef, epsilon, lam=lam)
-            dmap, gauge = normalize_gauge(DeformationMap(grid, coef), dataset.sites)
-            coef = dmap.coef
-            cov = CovParams(cov.sigma2, cov.phi * gauge.scale, cov.nugget)
-            # the pass's loglik, the information and the next pass's start
-            # come from one state
-            state = end_state(coef, cov)
+                coef, cov = refine_coords_ml(objective, CovParams(1.0, phi, g), grid, coef,
+                                             epsilon, lam=lam)
+            g = float(objective.point[-1])
+            state = objective.state(objective.point, phi)
             ll = state.profiled_value
             pll = ll - roughness(coef)
             info = state.information[0][:-1, :-1]
@@ -715,10 +734,10 @@ def fit(dataset: Dataset, config: FitConfig) -> DeformModel:
             err = FitError(f"outer iteration {it}: {e}")
             if best is not None:
                 err.best_model = _returned_model(  # type: ignore[attr-defined]
-                    grid, best[1], best[2], mean, diag, epsilon, centre, best[3] - 1)
+                    grid, best[1], best[2], mean, diag, epsilon, sites, best[3] - 1)
             raise err from e
         diag.loglik.append(ll)
-        diag.margins.append(float(corner_values(grid, coef).min()))
+        diag.margins.append(margin(coef))
         diag.penalty_weights.append(lam)
         diag.iterations = it
         next_lam, diag.effective_dof = _penalty_update(lam, info, penalty, coef_to_vec(coef))
@@ -732,4 +751,4 @@ def fit(dataset: Dataset, config: FitConfig) -> DeformModel:
         prev_pll = pll
         lam = next_lam
 
-    return _returned_model(grid, coef, cov, mean, diag, epsilon, centre, -1)
+    return _returned_model(grid, coef, cov, mean, diag, epsilon, sites, -1)

@@ -30,7 +30,6 @@ from scipy.spatial.distance import cdist
 
 from .covariance import (
     CovParams,
-    cholesky_or_raise,
     covariance_matrix,
     exp_covariance,
     factor_covariance,
@@ -94,7 +93,7 @@ def simulate_grf(sites, truth, cov: CovParams, t: int, seed: int) -> np.ndarray:
     if t < 1:
         raise ValueError(f"need at least one replicate, got {t}")
     c = covariance_matrix(sites, truth, cov)
-    ell = cholesky_or_raise(c)
+    ell = np.tril(factor_covariance(c)[0])
     rng = np.random.default_rng(seed)
     return ell @ rng.standard_normal((c.shape[0], t))
 

@@ -167,7 +167,7 @@ def load_model(path) -> DeformModel:
     try:
         grid = KnotGrid(*(_finite_number(payload["domain"], k) for k in DOMAIN_KEYS),
                         payload["k1"], payload["k2"])
-        coef = CoefPair(*(_finite_array(payload, k) for k in ("theta1", "theta2")), validated=True)
+        coef = CoefPair(*(_finite_array(payload, k) for k in ("theta1", "theta2")))
         coef.check_grid(grid)
         cov = CovParams(*(_finite_number(payload, k) for k in ("sigma2", "phi", "nugget")))
         d = payload["diagnostics"]

@@ -451,9 +451,8 @@ def fit_bspline_constrained(
     Hessian 2 W'W, starts from the affine feasible start
     (``_feasible_start``) and warns ("constrained fit: ...") when it stops
     short of its stopping test.  The result is strictly feasible, its
-    objective is no higher than the feasible start's, and the returned
-    pair is validated.  A rank-deficient design is regularized as in
-    ``_normal_equations``.
+    objective is no higher than the feasible start's.  A rank-deficient
+    design is regularized as in ``_normal_equations``.
     """
     sites = np.asarray(sites, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -465,7 +464,7 @@ def fit_bspline_constrained(
 
     unconstrained = unconstrained_bspline_fit(grid, sites, targets)
     if corner_values(grid, unconstrained).min() >= epsilon:
-        return CoefPair(unconstrained.theta1, unconstrained.theta2, validated=True)
+        return unconstrained
 
     gmat, cvec = _normal_equations(grid, sites, targets)
     z0 = coef_to_vec(_feasible_start(grid, sites, targets, epsilon))
@@ -478,4 +477,4 @@ def fit_bspline_constrained(
     if failure is not None:
         warnings.warn(f"constrained fit: {failure}; returning the last iterate",
                       RuntimeWarning, stacklevel=2)
-    return vec_to_coef(grid, z, validated=True)
+    return vec_to_coef(grid, z)

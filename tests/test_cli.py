@@ -6,6 +6,7 @@ import pytest
 
 from spatdeform import modelio
 from spatdeform.cli import main
+from spatdeform.deformation import default_epsilon, min_jacobian
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +71,7 @@ def fitted_model(workdir, simulated):
 class TestEstimate:
     def test_model_file_and_grid(self, workdir, fitted_model):
         model = modelio.load_model(fitted_model)
-        assert model.coef.validated
+        assert min_jacobian(model.mapping()) >= default_epsilon(model.grid)
         assert model.grid.k1 == 4
         grid_csv = workdir / "model_deformed_grid.csv"
         lines = grid_csv.read_text().splitlines()
@@ -232,6 +233,19 @@ class TestUnreadableFiles:
         assert rc == 2
         assert "data error" in err and str(model) in err and "Traceback" not in err
         assert f"{key} must be a finite number" in err or f"{key} has non-finite entries" in err
+
+    def test_model_whose_map_folds(self, workdir, simulated, fitted_model, pred_grid, capsys):
+        # two rows of theta1 swapped by hand: the cells between them fold
+        payload = json.loads(fitted_model.read_text())
+        payload["theta1"][1], payload["theta1"][2] = payload["theta1"][2], payload["theta1"][1]
+        model = workdir / "folded.json"
+        model.write_text(json.dumps(payload))
+        rc = main(["predict", "--model", str(model), "--data", str(simulated / "data.csv"),
+                   "--grid", str(pred_grid), "--time", "t000", "--out", str(workdir / "z.csv")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "data error" in err and str(model) in err and "Traceback" not in err
+        assert "folds: its least corner |J| is -" in err
 
 
 class TestPredict:

@@ -288,11 +288,6 @@ class TestGaugeCovariance:
         b = jacobian_det(DeformationMap(unit_grid, scaled), x)
         assert_allclose(b, alpha**2 * a, rtol=1e-10)
 
-    def test_reflection_drops_validation(self, unit_grid):
-        coef = CoefPair(np.zeros((4, 4)), np.zeros((4, 4)), validated=True)
-        refl = transform_coef(coef, np.diag([1.0, -1.0]), np.zeros(2))
-        assert not refl.validated
-
 
 def test_default_epsilon(unit_grid):
     # identity corners are all 1, so the margin is 1e-3

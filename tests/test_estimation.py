@@ -315,7 +315,6 @@ class TestRefineCoordsMl:
         start = identity_coef(grid)
         eps = 1e-3
         refined, refined_cov = ascend(ds, cov, grid, start, epsilon=eps)
-        assert refined.validated
         assert corner_values(grid, refined).min() >= eps - 1e-9
         assert refined_cov.phi == cov.phi
         ll_start = loglik(ds, DeformationMap(grid, start), cov)
@@ -358,7 +357,7 @@ class TestRefineCoordsMl:
         start = wobbled(grid, np.random.default_rng(27))
         assert not coef_fisher_information(ds, cov, grid, start).any()
         refined, refined_cov = ascend(ds, cov, grid, start, epsilon=1e-3)
-        assert refined.validated
+        assert corner_values(grid, refined).min() >= 1e-3
         assert np.array_equal(coef_to_vec(refined), coef_to_vec(start))
         assert refined_cov.nugget / refined_cov.sigma2 == pytest.approx(0.5)
 
@@ -476,10 +475,10 @@ class TestSmoothnessPenalty:
         assert f0 > objective(x, cov.phi, 0.0)[0]
 
     def test_zero_weight_is_the_unpenalized_objective(self, swirl_problem):
-        # refine_coords_ml drives SLSQP on this objective: at lam=0 the
-        # value and the gradient are the plain profiled likelihood's bit
-        # for bit, on the value-only path its line search uses too, and the
-        # solve-based gradient agrees to rounding
+        # refine_coords_ml's interior-point ascent runs on this objective:
+        # at lam=0 the value and the gradient are the plain profiled
+        # likelihood's bit for bit, on the value-only path its backtracking
+        # line search uses too, and the solve-based gradient agrees to rounding
         ds, cov, grid = swirl_problem
         rng = np.random.default_rng(23)
         reference = reference_negloglik_and_grad(ds, cov.phi, grid)
@@ -524,7 +523,8 @@ def test_inverse_is_the_two_copy_symmetrization_bit_for_bit(n):
 
 def test_each_state_is_factored_once(swirl_problem, monkeypatch):
     # the ascent's start value and its metric share one factorization, and
-    # so does each SLSQP gradient with the value at the same point before it
+    # so does each interior-point gradient with the trial value at the same
+    # point before it
     import spatdeform.estimation as est
 
     real_factor = est.factor_covariance
@@ -539,6 +539,28 @@ def test_each_state_is_factored_once(swirl_problem, monkeypatch):
     ascend(ds, cov, grid, identity_coef(grid), epsilon=1e-3)
     assert len(factored) > 10
     assert not any(np.array_equal(a, b) for a, b in zip(factored, factored[1:]))
+
+
+def test_no_pass_refactors_a_rescaled_covariance(stationary_dataset, monkeypatch):
+    # every pass stays in the ascent's chart: the pass's loglik, the weight
+    # update's information and the next ascent's start reuse the ascent's
+    # last factorization, not that of a gauge-normalized copy, which equals
+    # it up to the scale and rounding
+    import spatdeform.estimation as est
+
+    real_factor = est.factor_covariance
+    factored = []
+
+    def recording_factor(c):
+        factored.append(np.array(c) / c[0, 0])
+        return real_factor(c)
+
+    monkeypatch.setattr(est, "factor_covariance", recording_factor)
+    model = est.fit(stationary_dataset, FitConfig(k1=4, k2=4, tol=0.0, max_outer=3))
+    assert model.diagnostics.iterations == 3
+    repeats = [i for i in range(1, len(factored))
+               if np.abs(factored[i] - factored[i - 1]).max() <= 1e-12]
+    assert repeats == []
 
 
 class TestFisherInformation:
@@ -715,8 +737,7 @@ class TestFit:
     def test_returns_validated_model(self, stationary_dataset):
         model = fit(stationary_dataset, FitConfig(k1=4, k2=4, max_outer=3))
         assert isinstance(model, DeformModel)
-        assert model.coef.validated
-        assert min_jacobian(model.mapping()) > 0
+        assert min_jacobian(model.mapping()) >= default_epsilon(model.grid)
         assert model.diagnostics.iterations >= 1
         assert len(model.diagnostics.loglik) == model.diagnostics.iterations
 
@@ -757,10 +778,15 @@ class TestFit:
         assert model.diagnostics.converged
         assert corner_values(model.grid, model.coef).min() >= default_epsilon(model.grid)
 
-    def test_requires_validated_coef(self):
+    def test_rejects_a_folding_map(self):
+        # the model checks the corner values itself: the identity passes,
+        # and a map folded by reflecting one component does not
         grid = KnotGrid(0.0, 1.0, 0.0, 1.0, 4, 4)
-        with pytest.raises(ValueError):
-            DeformModel(grid, identity_coef(grid), CovParams(1.0, 1.0), 0.0, FitDiagnostics())
+        coef = identity_coef(grid)
+        DeformModel(grid, coef, CovParams(1.0, 1.0), 0.0, FitDiagnostics())
+        folded = CoefPair(coef.theta1, -coef.theta2)
+        with pytest.raises(DataError, match=r"least corner \|J\| is -1"):
+            DeformModel(grid, folded, CovParams(1.0, 1.0), 0.0, FitDiagnostics())
 
     def test_structureless_dispersions_fail_initialization(self):
         rng = np.random.default_rng(18)
@@ -791,23 +817,17 @@ class TestFit:
         # by their penalized loglik at the weight of the last pass
         import spatdeform.estimation as est
 
-        real_refine, real_normalize = est.refine_coords_ml, est.normalize_gauge
-        calls = {"n": 0}
+        real_refine = est.refine_coords_ml
         iterates = []
 
         def flaky_refine(*args, **kwargs):
-            calls["n"] += 1
-            if calls["n"] >= 4:
+            if len(iterates) >= 3:
                 raise NumericalError("synthetic failure")
-            return real_refine(*args, **kwargs)
-
-        def recording_normalize(dmap, sites):
-            out = real_normalize(dmap, sites)
-            iterates.append(out[0].coef)
+            out = real_refine(*args, **kwargs)
+            iterates.append(out[0])
             return out
 
         monkeypatch.setattr(est, "refine_coords_ml", flaky_refine)
-        monkeypatch.setattr(est, "normalize_gauge", recording_normalize)
         with pytest.raises(FitError, match="outer iteration 4") as excinfo:
             est.fit(stationary_dataset, FitConfig(k1=4, k2=4, tol=0.0, max_outer=5))
         best = excinfo.value.best_model
@@ -817,8 +837,10 @@ class TestFit:
         pen = SmoothnessPenalty.for_sites(best.grid, stationary_dataset.sites)
         pll = [ll - 0.5 * d.penalty_weights[-1] * pen.value_and_grad(coef_to_vec(c))[0]
                for ll, c in zip(d.loglik, iterates)]
-        expected = iterates[int(np.argmax(pll))]
-        assert np.array_equal(coef_to_vec(best.coef), coef_to_vec(expected))
+        # the passes run in the ascent's chart; the model gets the gauge
+        expected, _ = normalize_gauge(DeformationMap(best.grid, iterates[int(np.argmax(pll))]),
+                                      stationary_dataset.sites)
+        assert np.array_equal(coef_to_vec(best.coef), coef_to_vec(expected.coef))
 
     def test_no_constrained_least_squares_after_initialization(self, stationary_dataset):
         # fit starts from the identity map: it neither embeds the dispersions
@@ -908,7 +930,6 @@ class TestFit:
         model = est.fit(ds, FitConfig(k1=4, k2=4, tol=0.0, max_outer=2))
         eps = default_epsilon(model.grid)
         margin = corner_values(model.grid, model.coef).min()
-        assert model.coef.validated
         assert eps <= margin < 1.01 * eps
         assert model.diagnostics.margins[-1] == margin
         assert_allclose(loglik(ds, model.mapping(), model.cov),

@@ -9,7 +9,7 @@ from scipy.spatial.distance import cdist
 
 from spatdeform.basis import KnotGrid
 from spatdeform.covariance import CovParams, covariance_matrix, exp_covariance
-from spatdeform.deformation import CoefPair, identity_coef
+from spatdeform.deformation import identity_coef
 from spatdeform.errors import DomainError, NumericalError
 from spatdeform.estimation import DeformModel, FitDiagnostics
 from spatdeform.fields import (
@@ -27,7 +27,6 @@ from oracles import IdentityMap
 def make_model(cov, k=4, lo=0.0, hi=1.0, mean=0.0):
     grid = KnotGrid(lo, hi, lo, hi, k, k)
     coef = identity_coef(grid)
-    coef = CoefPair(coef.theta1, coef.theta2, validated=True)
     return DeformModel(grid=grid, coef=coef, cov=cov, mean=mean, diagnostics=FitDiagnostics())
 
 

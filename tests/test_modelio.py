@@ -22,7 +22,6 @@ def make_model(rng):
     coef = CoefPair(
         base.theta1 + 0.01 * rng.uniform(-1, 1, (4, 5)),
         base.theta2 + 0.01 * rng.uniform(-1, 1, (4, 5)),
-        validated=True,
     )
     diag = FitDiagnostics(
         loglik=[-123.456789012345678, -120.1],
