@@ -3,23 +3,24 @@
 The fit starts from the identity map, with the covariance of the
 variogram that the sample dispersions trace against the sites' own
 distances.  One outer iteration then ascends the likelihood over the
-coefficient matrices and the nugget-to-sill ratio together, from the
-incumbent ones.  Sampson & Guttorp's (1992) dispersion embedding is not
-run: its configuration could reach the passes only as an affine start,
-which the first pass and the gauge normalization reduce to the identity.
+coefficient matrices, the nugget-to-sill ratio and the range together,
+from the incumbent ones.  Sampson & Guttorp's (1992) dispersion
+embedding is not run: its configuration could reach the passes only as
+an affine start, which the first pass and the gauge normalization reduce
+to the identity.
 
 The ascent writes the covariance as sigma2 (R_phi + g I), with g the
 nugget-to-sill ratio, and profiles sigma2 out in closed form (Mardia &
-Marshall 1984).  The range phi is held through the whole fit: a common
-scale of the coefficients and of phi gives the same covariance, so the
-scale of the map carries the range.  The ascent runs the interior-point
-method of the constrained least squares, with the fitted centroid and
-rotation held by three linear gauge rows.  Its non-folding margin, its
-penalty and the weight update are scale-free, so every pass runs in the
-ascent's chart: the sites' centroid at the origin of the deformed plane,
-and a scale that drifts with the range.  The model is made once, at the
-end: the gauge normalization gives the map the sites' centroid and
-spread and hands the scale back to phi.
+Marshall 1984).  A common scale of the coefficients and of phi gives the
+same covariance, so the ascent holds the map's scale and moves phi.  It
+runs the interior-point method of the constrained least squares, with
+the fitted centroid, rotation and scale held by four linear gauge rows.
+Its non-folding margin, its penalty and the weight update are
+scale-free, so every pass runs in the ascent's chart: the sites'
+centroid at the origin of the deformed plane, and a fitted spread of at
+least the sites'.  The model is made once, at the end: the gauge
+normalization gives the map the sites' centroid and spread, shrinking it
+and phi together.
 
 The ascent maximizes a penalized likelihood: a scale-free
 second-difference roughness of the coefficients (P-splines, Eilers &
@@ -392,9 +393,8 @@ class CoefObjective:
     log-likelihood of the state at x and range phi.  With
     ``want_grad=False`` the gradient is None and the value costs one
     factorization and one triangular solve.  Non-positive-definite
-    covariances give 1e300.  The state of the last point, ``point``, is
-    kept, so the gradient or information asked for there reuses its
-    factorization.
+    covariances give 1e300.  The state of the last point is kept, so the
+    gradient or information asked for there reuses its factorization.
     """
 
     def __init__(self, dataset: Dataset, grid: KnotGrid):
@@ -402,14 +402,14 @@ class CoefObjective:
         self.sites = dataset.sites
         self.w = design_matrix(grid, dataset.sites).toarray()
         self.penalty = SmoothnessPenalty.for_sites(grid, dataset.sites)
-        self.point, self._key, self._state = None, None, None
+        self._key, self._state = None, None
 
     def state(self, x: np.ndarray, phi: float) -> _LikelihoodState:
         x = np.asarray(x, dtype=float)
         key = (x.tobytes(), phi)
         if key != self._key:
             self._state = _LikelihoodState.at(self.zc, self.w, x[:-1], x[-1], phi)
-            self.point, self._key = x.copy(), key
+            self._key = key
         return self._state
 
     def __call__(self, x: np.ndarray, phi: float, lam: float, want_grad: bool = True):
@@ -513,6 +513,8 @@ def _penalty_update(lam: float, info: np.ndarray, penalty: SmoothnessPenalty,
 ROUGHNESS_CURVATURE = 1e-3
 BARRIER_ROUGHNESS = 0.1
 G_START = 1e-8  # where a nugget ratio that starts on its bound g = 0 starts
+# the likelihood ascent moves the range by at most this factor either way
+RANGE_REACH = 1e6
 
 
 def refine_coords_ml(
@@ -523,55 +525,74 @@ def refine_coords_ml(
     epsilon: float,
     max_iter: int = 200,
     lam: float = 0.0,
-) -> tuple[CoefPair, CovParams]:
-    """Ascend the penalized replicate likelihood over the coefficients and
-    the nugget-to-sill ratio.
+) -> tuple[CoefPair, CovParams, np.ndarray]:
+    """Ascend the penalized replicate likelihood over the coefficients,
+    the nugget-to-sill ratio and the range.
 
-    The covariance is sigma2 (R_phi + g I), sigma2 profiled out and phi
-    held at ``cov.phi`` (the scale of the map carries the range).
+    The covariance is sigma2 (R_phi + g I), sigma2 profiled out.
     ``smoothers._interior_point`` maximizes ``l - lam / 2 * penalty``
-    over x = (z, g) from ``coef`` and the ratio of ``cov`` (at least
-    G_START) on the model I(x) - u u' + lam M(z), the information with
-    sigma2 profiled out plus the penalty's form, under the margin in the
-    gauge of the returned model, |J| - epsilon spread / q0 >= 0 (q0 the
-    sites' spread), 0 <= g <= G_MAX, and three gauge rows held at the
-    start: the fitted centroid and the antisymmetric part of sum (y_i -
-    ybar)(s_i - sbar)', which rotations move.  Returns feasible
-    coefficients no worse than the start, in the start's chart, and the
-    covariance (sigma2, phi, g sigma2) at them; warns when the solver
-    stops short.  The last state of ``objective`` is reused, and its
-    last ``point`` is the returned one, x = (z, g) exactly.
+    over (z, g, log phi) from ``coef`` and ``cov`` (g at least G_START)
+    on the model I - u u' + lam M(z) (sigma2 profiled out of the
+    information), under the margin |J| - epsilon spread / q0 >= 0 of the
+    returned model's gauge (q0 the sites' spread), 0 <= g <= G_MAX, phi
+    within a factor RANGE_REACH of its start, and four gauge rows held
+    at the start: the fitted centroid and the antisymmetric part and
+    trace of sum (y_i - ybar)(s_i - sbar)'.  Returns feasible
+    coefficients no worse than the start, in its chart, the covariance
+    (sigma2, phi, g sigma2) and the exact point x = (z, g), whose state
+    at phi is the last of ``objective``; warns when the solver stops short.
     """
-    phi, penalty, wc = cov.phi, objective.penalty, objective.penalty.wc
-    x0 = np.append(coef_to_vec(coef), max(cov.nugget / cov.sigma2, G_START))
+    phi0, penalty, wc = cov.phi, objective.penalty, objective.penalty.wc
+    x0 = np.append(coef_to_vec(coef), [max(cov.nugget / cov.sigma2, G_START), 0.0])
+    start = objective.state(x0[:-1], phi0)
+    # every correlation below rounding: keep the start of a flat likelihood
+    if lam == 0 and np.tril(start.c, -1).max(initial=0.0) <= np.finfo(float).eps:
+        return coef, CovParams(start.sill, phi0, float(x0[-2] * start.sill)), x0[:-1]
     roughness = np.kron(np.eye(2), penalty.s)
 
+    def chart(x):
+        # x = (z, g, log(phi / phi0)); as l(c z, c phi) = l(z, phi), a step
+        # (dz, dg, dt) changes l as the step (dz - z dt, dg) at phi does
+        out = np.eye(x.size - 1, x.size)
+        out[:-1, -1] = -x[:-2]
+        return x[:-1], phi0 * np.exp(x[-1]), out
+
+    def fun(x, want_grad):
+        point, phi, tangent = chart(x)
+        f, grad = objective(point, phi, lam, want_grad)
+        return f, (None if grad is None else grad @ tangent)
+
     def metric(x):
-        info, sill_part = objective.state(x, phi).information
-        out = info - np.outer(sill_part, sill_part)
-        out[:-1, :-1] += lam * penalty.matrix(x[:-1]) + roughness * (
-            ROUGHNESS_CURVATURE * np.trace(out) / (np.trace(roughness) or 1.0))
+        point, phi, tangent = chart(x)
+        info, sill_part = objective.state(point, phi).information
+        fisher = info - np.outer(sill_part, sill_part)
+        out = tangent.T @ fisher @ tangent
+        out[:-2, :-2] += lam * penalty.matrix(x[:-2]) + roughness * (
+            ROUGHNESS_CURVATURE * np.trace(fisher) / (np.trace(roughness) or 1.0))
         return out
 
     centred, wbar = objective.sites - objective.sites.mean(axis=0), objective.w.mean(axis=0)
-    gauge = np.zeros((3, x0.size))
-    gauge[0, :wbar.size], gauge[1, wbar.size:-1] = wbar, wbar
-    gauge[2, :-1] = np.concatenate([wc.T @ centred[:, 1], -(wc.T @ centred[:, 0])])
-    box = np.zeros((2, x0.size))
-    box[:, -1] = 1.0, -1.0
+    gauge = np.zeros((4, x0.size))
+    gauge[0, :wbar.size], gauge[1, wbar.size:-2] = wbar, wbar
+    gauge[2, :-2] = np.concatenate([wc.T @ centred[:, 1], -(wc.T @ centred[:, 0])])
+    gauge[3, :-2] = np.concatenate([wc.T @ centred[:, 0], wc.T @ centred[:, 1]])
+    box = np.zeros((4, x0.size))
+    box[:2, -2], box[2:, -1] = (1.0, -1.0), (1.0, -1.0)
+    # symmetric about the start, so that the range's barrier does not push it
+    bounds = np.array([0.0, -G_MAX, -np.log(RANGE_REACH), -np.log(RANGE_REACH)])
     # scaled to the start's spread, so that no scale of the map moves it
-    weight = BARRIER_ROUGHNESS / (grid.tau1 * grid.tau2) * penalty.q0 / penalty.spread(x0[:-1])
-    flat = scipy.linalg.block_diag(weight * roughness, 0.0)
+    weight = BARRIER_ROUGHNESS / (grid.tau1 * grid.tau2) * penalty.q0 / penalty.spread(x0[:-2])
+    flat = scipy.linalg.block_diag(weight * roughness, 0.0, 0.0)
     x, failure = _interior_point(
-        grid, lambda x, want_grad: objective(x, phi, lam, want_grad), metric, x0, 0.0,
-        max_iter, rate=epsilon / penalty.q0, spread=wc.T @ wc,
-        rows=(box, np.array([0.0, -G_MAX])), gauge=gauge, flat=flat)
+        grid, fun, metric, x0, 0.0, max_iter, rate=epsilon / penalty.q0, spread=wc.T @ wc,
+        rows=(box, bounds), gauge=gauge, flat=flat)
     if failure is not None:
         warnings.warn(f"likelihood ascent did not succeed: {failure}; "
                       "returning the best feasible iterate", RuntimeWarning, stacklevel=2)
-    sill = objective.state(x, phi).sill
-    return (vec_to_coef(grid, x[:-1]),
-            CovParams(float(sill), float(phi), float(x[-1] * sill)))
+    point, phi, _ = chart(x)
+    sill = objective.state(point, phi).sill
+    return (vec_to_coef(grid, point[:-1]),
+            CovParams(float(sill), float(phi), float(point[-1] * sill)), point)
 
 
 def normalize_gauge(dmap: DeformationMap, sites) -> tuple[DeformationMap, ProcrustesTransform]:
@@ -629,11 +650,11 @@ def _returned_model(grid: KnotGrid, coef: CoefPair, cov: CovParams, mean: float,
     """The model of the iterate of outer pass ``index + 1``, the one place
     where a fitted map gets its gauge.
 
-    ``normalize_gauge`` gives the ascent's chart the sites' centroid and
-    spread, with the range co-scaled, so the covariance is unchanged.
-    The ascent's margin is taken in this gauge; a map that rounding
-    leaves short of it is lifted by the similarity of scale sqrt(epsilon
-    / min |J|) about the sites' centroid, again with the range
+    ``normalize_gauge`` shrinks the ascent's chart (whose spread is at
+    least the sites') to the sites' centroid and spread, with the range
+    co-scaled.  The ascent's margin is taken in this gauge; a map that
+    rounding leaves short of it is lifted by the similarity of scale
+    sqrt(epsilon / min |J|) about the sites' centroid, with the range
     co-scaled.  Its margin replaces entry ``index`` of ``diag.margins``.
     """
     dmap, gauge = normalize_gauge(DeformationMap(grid, coef), sites)
@@ -670,26 +691,24 @@ def fit(dataset: Dataset, config: FitConfig) -> DeformModel:
     Starts from the identity map, whose corner |J| = 1 must clear
     epsilon (else InfeasibilityError), and from the covariance of
     ``_initial_cov`` (a FitError when its variogram fit fails).  Each
-    pass then runs the likelihood ascent over the coefficients and the
-    nugget-to-sill ratio from the incumbent ones, in the ascent's chart:
-    the sites' centroid at the origin and the initial range held, the
-    map's scale carrying the range.  The ascent's last state gives the
-    pass's loglik, the information for the Fellner-Schall update of the
-    penalty weight (which starts at 0) and the next pass's start.  The
-    passes stop once the relative change of the penalized loglik drops
-    below ``tol`` on a pass whose ascent raised no warning, or after
-    ``max_outer``.  ``_returned_model`` makes the returned model, and the
-    best model of a FitError; the per-pass margins are taken in its
-    gauge.  Each optimizer warning raised inside is issued again and
-    recorded in the diagnostics' ``messages`` as "pass N: <message>".
-    Raises FitError carrying the iteration index (and the best model so
-    far, when one exists) on failure.
+    pass then runs the likelihood ascent from the incumbent coefficients,
+    nugget ratio and range, in the ascent's chart (the sites' centroid at
+    the origin, the map's scale held); its last state, at its exact
+    point, gives the pass's loglik, the information for the
+    Fellner-Schall update of the penalty weight (which starts at 0) and
+    the next pass's start.  The passes stop once the relative change of
+    the penalized loglik drops below ``tol`` on a pass whose ascent
+    raised no warning, or after ``max_outer``.  ``_returned_model``
+    makes the returned model, and the best model of a FitError; the
+    per-pass margins are taken in its gauge.  Each optimizer warning
+    raised inside is issued again and recorded in the diagnostics'
+    ``messages`` as "pass N: <message>".  Raises FitError carrying the
+    iteration index (and the best model so far) on failure.
     """
     grid = _grid_from_sites(dataset.sites, config.k1, config.k2)
     epsilon = config.epsilon if config.epsilon is not None else default_epsilon(grid)
     sites = dataset.sites
-    # the passes run with the sites' centroid at the origin of the deformed
-    # plane, so that no scale the map drifts to costs it precision
+    # the ascent's chart puts the sites' centroid at the origin
     coef = transform_coef(identity_coef(grid), np.eye(2), -sites.mean(axis=0))
     if not corner_values(grid, coef).min() > epsilon:
         raise InfeasibilityError(
@@ -709,8 +728,7 @@ def fit(dataset: Dataset, config: FitConfig) -> DeformModel:
         return float(corner_values(grid, c).min()) * penalty.q0 / penalty.spread(coef_to_vec(c))
 
     cov = _initial_cov(dataset, sample_dispersions(dataset.replicates))
-    # each ascent starts at the last one's exact point x = (z, g), handed
-    # over as z and the unit-sill covariance (1, phi, g)
+    # each ascent starts at the last one's exact (z, g, phi): z and (1, phi, g)
     phi, g = cov.phi, cov.nugget / cov.sigma2
     prev_pll = objective.state(np.append(coef_to_vec(coef), g), phi).profiled_value
     # (loglik, coef, cov, pass) of the iterate with the highest penalized
@@ -721,10 +739,10 @@ def fit(dataset: Dataset, config: FitConfig) -> DeformModel:
         label = f"pass {it}"
         try:
             with _noted_warnings(diag.messages, label):
-                coef, cov = refine_coords_ml(objective, CovParams(1.0, phi, g), grid, coef,
-                                             epsilon, lam=lam)
-            g = float(objective.point[-1])
-            state = objective.state(objective.point, phi)
+                coef, cov, point = refine_coords_ml(objective, CovParams(1.0, phi, g), grid,
+                                                    coef, epsilon, lam=lam)
+            g, phi = float(point[-1]), cov.phi
+            state = objective.state(point, phi)
             ll = state.profiled_value
             pll = ll - roughness(coef)
             info = state.information[0][:-1, :-1]

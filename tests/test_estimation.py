@@ -55,8 +55,9 @@ def identity_model_map(k=4):
 
 
 def ascend(ds, cov, grid, coef, epsilon, **kwargs):
-    """One likelihood ascent of ``refine_coords_ml`` on a fresh objective."""
-    return refine_coords_ml(CoefObjective(ds, grid), cov, grid, coef, epsilon, **kwargs)
+    """The map and covariance of one likelihood ascent of
+    ``refine_coords_ml`` on a fresh objective."""
+    return refine_coords_ml(CoefObjective(ds, grid), cov, grid, coef, epsilon, **kwargs)[:2]
 
 
 class TestDataset:
@@ -135,8 +136,8 @@ class TestReplicateLoglik:
 
 
 class TestStepCov:
-    """The covariance the likelihood ascent returns, with the range held
-    and carried by the scale of the map."""
+    """The covariance the likelihood ascent returns, with the range
+    moved in the ascent and the map's scale held."""
 
     def test_recovers_simulation_parameters(self):
         sites = grid_sites(11)
@@ -146,7 +147,7 @@ class TestStepCov:
         grid = identity_model_map().grid
         coef, cov = ascend(ds, CovParams(0.5, 0.1, 0.5), grid, identity_coef(grid),
                            epsilon=1e-3)
-        # the map grew to carry the range; the gauge hands it back to phi
+        # the gauge gives the map the sites' spread, with phi co-scaled
         _, gauge = normalize_gauge(DeformationMap(grid, coef), sites)
         est = CovParams(cov.sigma2, cov.phi * gauge.scale, cov.nugget)
         assert abs(est.sigma2 - 1.0) < 0.25
@@ -167,17 +168,23 @@ class TestStepCov:
             assert (loglik(ds, DeformationMap(dmap.grid, coef), est)
                     >= loglik(ds, dmap, init) - 1e-9)
 
-    def test_phi_respects_bounds(self):
-        # the range is held at its incoming value, however far off, and the
-        # nugget ratio stays within [0, G_MAX]
+    def test_phi_respects_bounds(self, monkeypatch):
+        # the range moves from a far-off start toward the truth, 0.3, by
+        # at most a factor RANGE_REACH; the nugget ratio stays within
+        # [0, G_MAX]
         sites = grid_sites(4)
         z = simulate_grf(sites, IdentityMap(), CovParams(1.0, 0.3, 0.1), t=40, seed=10)
         ds = Dataset(sites, z)
         dmap = identity_model_map()
         init = CovParams(1.0, 5.0, 0.1)
         _, est = ascend(ds, init, dmap.grid, dmap.coef, epsilon=1e-3)
-        assert est.phi == init.phi
+        assert 0.15 < est.phi < 0.6
         assert 0.0 <= est.nugget <= G_MAX * est.sigma2
+        import spatdeform.estimation as estimation
+
+        monkeypatch.setattr(estimation, "RANGE_REACH", 4.0)
+        _, held = ascend(ds, init, dmap.grid, dmap.coef, epsilon=1e-3)
+        assert init.phi / 4.0 < held.phi < 1.1 * init.phi / 4.0
 
     def test_already_optimal_start_is_stable(self):
         sites = grid_sites(5)
@@ -267,8 +274,8 @@ class TestProfiledCovStep:
     @pytest.mark.parametrize("case", range(9))
     def test_at_least_the_finite_difference_optimum(self, step_cov_problems, case):
         # at the map the ascent returns, no search over (sigma2, phi,
-        # nugget) beats the covariance it returns with it: the scale of the
-        # map, which carries the range, is free of the corner margin
+        # nugget) beats the covariance it returns with it: the range is a
+        # variable of the ascent, free of the corner margin
         ds, dmap, init = step_cov_problems[case]
         coef, cov = ascend(ds, init, dmap.grid, dmap.coef, epsilon=default_epsilon(dmap.grid))
         fitted = DeformationMap(dmap.grid, coef)
@@ -277,9 +284,9 @@ class TestProfiledCovStep:
 
     def test_searches_with_the_analytic_gradient_and_factors_each_matrix_once(
             self, stationary_dataset, monkeypatch):
-        # one interior-point ascent per pass, with the analytic gradient
-        # and the metric, and no matrix factored twice in a row: each pass
-        # starts from the state that ended the one before
+        # one interior-point ascent per pass over (z, g, log phi), with the
+        # analytic gradient and the metric, and no matrix factored twice in
+        # a row: each pass starts from the state that ended the one before
         import spatdeform.estimation as est
 
         real_factor, real_solver = est.factor_covariance, est._interior_point
@@ -297,7 +304,7 @@ class TestProfiledCovStep:
         monkeypatch.setattr(est, "_interior_point", recording_solver)
         model = est.fit(stationary_dataset, FitConfig(k1=4, k2=4, tol=0.0, max_outer=3))
         assert model.diagnostics.iterations == 3
-        assert calls == [((33,), (33, 33))] * 3
+        assert calls == [((34,), (34, 34))] * 3
         assert len(factored) > 3
         assert not any(np.array_equal(a, b) for a, b in zip(factored, factored[1:]))
 
@@ -316,7 +323,12 @@ class TestRefineCoordsMl:
         eps = 1e-3
         refined, refined_cov = ascend(ds, cov, grid, start, epsilon=eps)
         assert corner_values(grid, refined).min() >= eps - 1e-9
-        assert refined_cov.phi == cov.phi
+        # the trace of sum (y_i - ybar)(s_i - sbar)' is held, so the range
+        # moves instead of the map's scale
+        y, centred = DeformationMap(grid, refined)(ds.sites), ds.sites - ds.sites.mean(axis=0)
+        assert (np.sum((y - y.mean(axis=0)) * centred)
+                == pytest.approx(np.sum(centred * centred), rel=1e-9))
+        assert refined_cov.phi != cov.phi
         ll_start = loglik(ds, DeformationMap(grid, start), cov)
         ll_ref = loglik(ds, DeformationMap(grid, refined), refined_cov)
         assert ll_ref >= ll_start
@@ -360,6 +372,23 @@ class TestRefineCoordsMl:
         assert corner_values(grid, refined).min() >= 1e-3
         assert np.array_equal(coef_to_vec(refined), coef_to_vec(start))
         assert refined_cov.nugget / refined_cov.sigma2 == pytest.approx(0.5)
+
+    def test_correlations_below_rounding_keep_the_start(self):
+        # three clusters of white-noise stations: the variogram's range,
+        # 6.3e-5, leaves every correlation below rounding, so the
+        # likelihood is flat in the coefficients, the nugget ratio and the
+        # range; the ascent keeps its start rather than let the barrier
+        # alone move it (which stalls, warns and runs the fit to max_outer)
+        import warnings
+
+        rng = np.random.default_rng(4192282927)
+        centres = rng.uniform(0.15, 0.85, (3, 2))
+        sites = centres[rng.integers(0, 3, 22)] + 0.05 * rng.standard_normal((22, 2))
+        z = rng.standard_normal((22, 26))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = fit(Dataset(sites, z), FitConfig(k1=2, k2=2))
+        assert model.diagnostics.iterations == 1 and model.diagnostics.converged
 
 
 def wobbled(grid, rng, amount=0.05):

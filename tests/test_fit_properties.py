@@ -3,13 +3,16 @@
 Whatever the sites and replicates, ``fit`` either raises a package
 error or returns a model that does not fold and carries the gauge of
 every returned model: the sites' centroid and spread.  The passes run in
-the ascent's chart, whose scale drifts with the range held, so this is
-also the guard on that drift.
+the ascent's chart, whose scale the ascent holds while the range moves;
+a chart that drifted in scale would leave coefficients far off the
+sites once the gauge is normalized, so the test also bounds them.  The
+pinned examples are small structureless networks on which a chart free
+to drift collapsed within one pass.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spatdeform.covariance import CovParams
@@ -31,6 +34,12 @@ def draw_sites(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
 
 @pytest.mark.filterwarnings("default:likelihood ascent:RuntimeWarning")
 @settings(max_examples=30)
+@example(kind="near-collinear", n=38, t=30, k=5, grf=False, seed=3022224239)
+@example(kind="near-collinear", n=27, t=39, k=4, grf=False, seed=3899360805)
+@example(kind="near-collinear", n=6, t=28, k=4, grf=False, seed=2805345600)
+@example(kind="uniform", n=5, t=24, k=4, grf=True, seed=4282661277)
+@example(kind="uniform", n=6, t=11, k=5, grf=False, seed=1309922419)
+@example(kind="uniform", n=5, t=5, k=3, grf=False, seed=5)
 @given(kind=st.sampled_from(["uniform", "clustered", "near-collinear"]),
        n=st.integers(5, 40), t=st.integers(5, 40), k=st.integers(2, 5),
        grf=st.booleans(), seed=st.integers(0, 2**32 - 1))
@@ -53,5 +62,7 @@ def test_fit_returns_a_gauged_non_folding_model_or_a_package_error(kind, n, t, k
     centred = sites - sites.mean(axis=0)
     q0 = float(np.sum(centred**2))
     assert np.abs(fitted.mean(axis=0) - sites.mean(axis=0)).max() <= 1e-9 * np.sqrt(q0 / n)
+    offsets = np.stack([model.coef.theta1, model.coef.theta2], axis=-1) - sites.mean(axis=0)
+    assert np.abs(offsets).max() <= 1e6 * np.sqrt(q0 / n)
     spread = float(np.sum((fitted - fitted.mean(axis=0)) ** 2))
     assert spread == pytest.approx(q0, rel=1e-9)

@@ -67,10 +67,10 @@ def test_both_callers_end_strictly_feasible_and_no_worse(problem):
     f0 = objective(x0, cov.phi, 0.0, want_grad=False)[0]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        coef, fitted = refine_coords_ml(objective, cov, grid, start, eps)
+        coef, fitted, x = refine_coords_ml(objective, cov, grid, start, eps)
     assert all(str(c.message).startswith("likelihood ascent") for c in caught)
-    x = np.append(coef_to_vec(coef), fitted.nugget / fitted.sigma2)
-    assert objective(x, cov.phi, 0.0, want_grad=False)[0] <= f0
+    assert np.array_equal(x, np.append(coef_to_vec(coef), x[-1]))
+    assert objective(x, fitted.phi, 0.0, want_grad=False)[0] <= f0
     penalty = objective.penalty
     zz = coef_to_vec(coef).reshape(2, -1).T
     spread = float(np.sum((penalty.wc @ zz) ** 2))
