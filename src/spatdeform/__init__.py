@@ -36,7 +36,7 @@ from .estimation import (
     loglik,
     normalize_gauge,
 )
-from .fields import Swirl, conditional_simulate, krige, simulate_grf
+from .fields import KrigingSystem, Swirl, simulate_grf
 from .scaling import (
     Configuration,
     classical_mds,

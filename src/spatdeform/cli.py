@@ -37,8 +37,7 @@ from .errors import (
     NumericalError,
 )
 from .estimation import Dataset, FitConfig, fit
-# krige is bound here only for bench/test_bench.py, which reads cli.krige
-from .fields import KrigingSystem, Swirl, krige, simulate_grf  # noqa: F401
+from .fields import KrigingSystem, Swirl, simulate_grf
 from .scaling import sg_initialize
 from .smoothers import fit_tps, make_tps_smoother, tps_effective_dof, tps_lambda_for_dof
 
@@ -63,12 +62,17 @@ COMPARE_K = (4, 6, 8)
 # dof-matched ones
 REFERENCE_LAMBDA = {4: 30.0, 6: 7.5, 8: 3.2}
 SCATTER_COLUMNS = ["true_cov", "estimated_cov"]
+# compare counts thin-plate folds on a FOLD_GRID_SIDE^2 interior grid
+FOLD_GRID_SIDE = 100
 
 
 def _simulate_payload(args):
     """Config (defaults filled in), output directory and simulated
     replicates of a harness run."""
     cfg = {**HARNESS_DEFAULTS, **modelio.read_config(args.config)}
+    seed = args.seed if args.seed is not None else cfg["seed"]
+    if seed < 0:
+        raise DataError(f"seed must be >= 0, got {seed}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     g = np.linspace(0.0, 1.0, cfg["grid_n"])
@@ -76,7 +80,6 @@ def _simulate_payload(args):
     sites = np.column_stack([xx.ravel(), yy.ravel()])
     truth = Swirl(center=(0.5, 0.5), strength=cfg["swirl_strength"], radius=cfg["swirl_radius"])
     cov = CovParams(sigma2=cfg["sigma2"], phi=cfg["phi"], nugget=cfg["nugget"])
-    seed = args.seed if args.seed is not None else cfg["seed"]
     z = simulate_grf(sites, truth, cov, t=cfg["t"], seed=seed)
     ids = [f"s{i:03d}" for i in range(len(sites))]
     times = [f"t{j:03d}" for j in range(cfg["t"])]
@@ -120,6 +123,8 @@ def cmd_estimate(args) -> None:
 def cmd_predict(args) -> None:
     if args.draws < 0:
         raise DataError(f"--draws must be >= 0, got {args.draws}")
+    if args.seed < 0:
+        raise DataError(f"--seed must be >= 0, got {args.seed}")
     model = modelio.load_model(args.model)
     dataset = modelio.ingest(args.data)
     pred_sites = modelio.read_grid_csv(args.grid)
@@ -158,9 +163,9 @@ def _write_pairs(path, columns, ids, *matrices) -> None:
                           *(a[iu].tolist() for a in matrices)))
 
 
-def _tps_fold_count(tps, n_side: int = 100) -> int:
+def _tps_fold_count(tps) -> int:
     """Count negative finite-difference Jacobians on an interior grid."""
-    g = np.linspace(0.005, 0.995, n_side)
+    g = np.linspace(0.005, 0.995, FOLD_GRID_SIDE)
     xx, yy = np.meshgrid(g, g, indexing="ij")
     pts = np.column_stack([xx.ravel(), yy.ravel()])
     h = 1e-5
@@ -221,7 +226,7 @@ def cmd_compare(args) -> None:
         })
         print(f"tps dof={k*k} (lambda {lam:.4g}, published reference "
               f"{REFERENCE_LAMBDA[k]}): slope {slope:.3f} corr {corr:.3f} "
-              f"mse {mse:.5f} negative-|J| points {folds}/10000")
+              f"mse {mse:.5f} negative-|J| points {folds}/{FOLD_GRID_SIDE**2}")
 
     report = out / "report.csv"
     modelio.write_csv(report, list(rows[0]), ([row[f] for f in rows[0]] for row in rows))

@@ -158,6 +158,9 @@ def sample_dispersions(replicates) -> DispersionMatrix:
 
 # every variogram fit pools the pairs into this many equal-width distance bins
 VARIOGRAM_BINS = 15
+# variogram_inverse caps distances at this many ranges, where the
+# exponential variogram is numerically flat
+INVERSE_CAP_RANGES = 3.0
 
 
 def _bin_pairs(h: np.ndarray, d2: np.ndarray):
@@ -229,16 +232,16 @@ def fit_variogram(h, d2) -> VariogramModel:
     return VariogramModel(nugget=a, psill=b, range_=r, rss=2.0 * best.cost)
 
 
-def variogram_inverse(model: VariogramModel, d2, h_max_ranges: float = 3.0):
+def variogram_inverse(model: VariogramModel, d2):
     """Distance at which the variogram reaches d2, clamped to be total.
 
     Values at or below the nugget map to 0; values beyond the
-    numerically flat part (h_max_ranges ranges) map to the cap.
+    numerically flat part (INVERSE_CAP_RANGES ranges) map to the cap.
     Accepts scalars or arrays.
     """
     d2 = np.asarray(d2, dtype=float)
     a, b, r = model.nugget, model.psill, model.range_
-    hmax = h_max_ranges * r
+    hmax = INVERSE_CAP_RANGES * r
     frac = (d2 - a) / b
     frac_cap = 1.0 - np.exp(-hmax / r)
     with np.errstate(invalid="ignore", divide="ignore"):

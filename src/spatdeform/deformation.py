@@ -18,6 +18,7 @@ from .basis import KnotGrid, design_matrix
 
 __all__ = [
     "CoefPair",
+    "CornerRows",
     "DeformationMap",
     "affine_coef",
     "identity_coef",
@@ -116,9 +117,7 @@ def corner_values(grid: KnotGrid, coef: CoefPair) -> np.ndarray:
     the closed cell.
     """
     coef.check_grid(grid)
-    vals, _ = _corner_values_and_jac(grid, coef_to_vec(coef), _corner_tables(grid),
-                                     want_jac=False)
-    return vals.reshape(grid.k1 - 1, grid.k2 - 1, 4)
+    return CornerRows(grid)(coef_to_vec(coef), False)[0].reshape(grid.k1 - 1, grid.k2 - 1, 4)
 
 
 def min_jacobian(dmap: DeformationMap) -> float:
@@ -129,60 +128,45 @@ def min_jacobian(dmap: DeformationMap) -> float:
 def default_epsilon(grid: KnotGrid) -> float:
     """Constraint margin: 1e-3 times the median corner value of the
     identity map on this grid."""
-    vals = corner_values(grid, identity_coef(grid))
-    return 1e-3 * float(np.median(vals))
+    return 1e-3 * float(np.median(corner_values(grid, identity_coef(grid))))
 
 
-def _corner_tables(grid: KnotGrid) -> dict[str, np.ndarray]:
-    """Flat coefficient indices touched by each corner functional.
+class CornerRows:
+    """The non-folding rows of a knot grid, from the dense difference
+    operators A and B, each (n_corner, K1 K2).  Row i (cells row-major,
+    corners in CORNER_ORDER) is |J| at a cell corner, ((A v1)(B v2) -
+    (B v1)(A v2))_i / (tau1 tau2), bilinear in z = (v1, v2): A takes
+    P[ci+1, cj+s2] - P[ci, cj+s2] (along axis 1), and B P[ci+s1, cj+1] -
+    P[ci+s1, cj] (along axis 2)."""
 
-    Constraint m (cells row-major, corners in CORNER_ORDER) has value
-    (dPu * dQv - dPv * dQu) / (tau1 tau2) with
-    dPu = P[ci+1, cj+s2] - P[ci, cj+s2]  (difference along axis 1)
-    dPv = P[ci+s1, cj+1] - P[ci+s1, cj]  (difference along axis 2)
-    and the same slots in Q.  Used by the constrained optimizers.
-    """
-    k1 = grid.k1
-    ci, cj, corner = np.indices((k1 - 1, grid.k2 - 1, len(CORNER_ORDER))).reshape(3, -1)
-    s1, s2 = np.array(CORNER_ORDER)[corner].T
+    def __init__(self, grid: KnotGrid):
+        k1 = grid.k1
+        ci, cj, corner = np.indices((k1 - 1, grid.k2 - 1, len(CORNER_ORDER))).reshape(3, -1)
+        s1, s2 = np.array(CORNER_ORDER)[corner].T
+        rows = np.arange(ci.size)
+        self.a, self.b = np.zeros((2, ci.size, k1 * grid.k2))
+        self.a[rows, ci + 1 + k1 * (cj + s2)], self.a[rows, ci + k1 * (cj + s2)] = 1.0, -1.0
+        self.b[rows, ci + s1 + k1 * (cj + 1)], self.b[rows, ci + s1 + k1 * cj] = 1.0, -1.0
+        self.area = grid.tau1 * grid.tau2
 
-    def flat(a, b):
-        return a + k1 * b
+    def __call__(self, z: np.ndarray, want_jac: bool = True):
+        """Row values, and their (n_corner, 2 K1 K2) Jacobian if ``want_jac``."""
+        m, scale = self.a.shape[1], 1.0 / self.area
+        dpu, dpv = self.a @ z[:m], self.b @ z[:m]
+        dqu, dqv = self.a @ z[m:], self.b @ z[m:]
+        vals = (dpu * dqv - dpv * dqu) * scale
+        if not want_jac:
+            return vals, None
+        # scaled before they meet the operators: where A and B share a column,
+        # at corners (0, 0) and (1, 1), two scaled differences are summed
+        return vals, np.hstack([(scale * dqv)[:, None] * self.a - (scale * dqu)[:, None] * self.b,
+                                (scale * dpu)[:, None] * self.b - (scale * dpv)[:, None] * self.a])
 
-    return {
-        "u_hi": flat(ci + 1, cj + s2),
-        "u_lo": flat(ci, cj + s2),
-        "v_hi": flat(ci + s1, cj + 1),
-        "v_lo": flat(ci + s1, cj),
-    }
-
-
-def _corner_values_and_jac(grid: KnotGrid, z: np.ndarray, tables, want_jac=True):
-    """Corner values (and Jacobian) from stacked coefficient vectors.
-
-    ``z`` concatenates vec(theta1) and vec(theta2) (column-major); the
-    values are corner_values(...).ravel().  Each row of the dense
-    Jacobian has 8 nonzeros, one per index slot; within a slot every row
-    names one column, so one fancy-indexed assignment fills it.
-    """
-    m = grid.k1 * grid.k2
-    v1, v2 = z[:m], z[m:]
-    scale = 1.0 / (grid.tau1 * grid.tau2)
-    dpu = v1[tables["u_hi"]] - v1[tables["u_lo"]]
-    dpv = v1[tables["v_hi"]] - v1[tables["v_lo"]]
-    dqu = v2[tables["u_hi"]] - v2[tables["u_lo"]]
-    dqv = v2[tables["v_hi"]] - v2[tables["v_lo"]]
-    vals = (dpu * dqv - dpv * dqu) * scale
-    if not want_jac:
-        return vals, None
-    jac = np.zeros((vals.size, 2 * m))
-    rows = np.arange(vals.size)
-    for offset, slot, weight in (
-        (0, "u_hi", dqv), (0, "u_lo", -dqv), (0, "v_hi", -dqu), (0, "v_lo", dqu),
-        (m, "v_hi", dpu), (m, "v_lo", -dpu), (m, "u_hi", -dpv), (m, "u_lo", dpv),
-    ):
-        jac[rows, offset + tables[slot]] += weight * scale
-    return vals, jac
+    def hessian_block(self, w: np.ndarray) -> np.ndarray:
+        """X = (A' diag(w) B - B' diag(w) A) / (tau1 tau2).  The Hessian of
+        w' rows(z) is [[0, X], [-X, 0]]: each row is linear in v1 and in v2."""
+        w = w[:, None]
+        return (self.a.T @ (w * self.b) - self.b.T @ (w * self.a)) / self.area
 
 
 def coef_to_vec(coef: CoefPair) -> np.ndarray:

@@ -513,8 +513,10 @@ def _penalty_update(lam: float, info: np.ndarray, penalty: SmoothnessPenalty,
 ROUGHNESS_CURVATURE = 1e-3
 BARRIER_ROUGHNESS = 0.1
 G_START = 1e-8  # where a nugget ratio that starts on its bound g = 0 starts
-# the likelihood ascent moves the range by at most this factor either way
+# the likelihood ascent moves the range by at most this factor either way,
+# in at most ASCENT_MAX_ITER Newton steps
 RANGE_REACH = 1e6
+ASCENT_MAX_ITER = 200
 
 
 def refine_coords_ml(
@@ -523,7 +525,6 @@ def refine_coords_ml(
     grid: KnotGrid,
     coef: CoefPair,
     epsilon: float,
-    max_iter: int = 200,
     lam: float = 0.0,
 ) -> tuple[CoefPair, CovParams, np.ndarray]:
     """Ascend the penalized replicate likelihood over the coefficients,
@@ -584,7 +585,7 @@ def refine_coords_ml(
     weight = BARRIER_ROUGHNESS / (grid.tau1 * grid.tau2) * penalty.q0 / penalty.spread(x0[:-2])
     flat = scipy.linalg.block_diag(weight * roughness, 0.0, 0.0)
     x, failure = _interior_point(
-        grid, fun, metric, x0, 0.0, max_iter, rate=epsilon / penalty.q0, spread=wc.T @ wc,
+        grid, fun, metric, x0, 0.0, ASCENT_MAX_ITER, rate=epsilon / penalty.q0, spread=wc.T @ wc,
         rows=(box, bounds), gauge=gauge, flat=flat)
     if failure is not None:
         warnings.warn(f"likelihood ascent did not succeed: {failure}; "

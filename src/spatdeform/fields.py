@@ -39,8 +39,6 @@ from .errors import NumericalError
 __all__ = [
     "Swirl",
     "simulate_grf",
-    "krige",
-    "conditional_simulate",
     "KrigeResult",
     "KrigingSystem",
     "psd_root",
@@ -192,30 +190,12 @@ class KrigingSystem:
 
     def simulate(self, n_draws: int, seed: int) -> np.ndarray:
         """(m, n_draws) conditional draws, mean + R N for the conditional
-        root R, (m, rank), and N standard normal, (rank, n_draws)."""
+        root R, (m, rank), and N standard normal, (rank, n_draws).  R has
+        fewer columns than sites when a prediction site is a data site or
+        is repeated and there is no nugget: such sites then draw the data
+        value or each other's value."""
         if n_draws < 1:
             raise ValueError(f"need at least one draw, got {n_draws}")
         root = self.conditional_root()
         rng = np.random.default_rng(seed)
         return self.mean[:, None] + root @ rng.standard_normal((root.shape[1], n_draws))
-
-
-def krige(model, sites, values, pred_sites) -> KrigeResult:
-    """Simple Kriging at prediction sites under a fitted model; see
-    ``KrigingSystem``."""
-    return KrigingSystem(model, sites, values, pred_sites).krige()
-
-
-def conditional_simulate(model, sites, values, pred_sites, n_draws: int, seed: int) -> np.ndarray:
-    """Draws from the conditional Gaussian at the prediction sites.
-
-    Returns an (m, n_draws) matrix whose empirical mean converges to
-    the Kriging mean.  The draws are mean + R N, with R the pivoted
-    Cholesky root (``psd_root``) of the conditional covariance
-    K_pp - V^T V and N standard normal, (rank, n_draws).  That
-    covariance is singular when a prediction site is a data site or is
-    repeated and there is no nugget; the root then has fewer columns
-    than sites, and such sites draw the data value or each other's
-    value.
-    """
-    return KrigingSystem(model, sites, values, pred_sites).simulate(n_draws, seed)

@@ -75,9 +75,17 @@ CONFIG_KEYS = {
     "nugget": float,
     "grid_n": int,
 }
+# the range of each harness key; FitConfig checks epsilon, tol and max_outer
+POSITIVE = ("a finite number > 0", lambda v: 0.0 < v < math.inf)
+CONFIG_RANGES = {"sigma2": POSITIVE, "phi": POSITIVE, "swirl_radius": POSITIVE,
+                 "nugget": ("a finite number >= 0", lambda v: 0.0 <= v < math.inf),
+                 "swirl_strength": ("a finite number", math.isfinite),
+                 "grid_n": (">= 2", lambda v: v >= 2), "t": (">= 2", lambda v: v >= 2)}
 
 
 FLOAT_FORMAT = "%.17g"
+# points per side of the grid that write_deformed_grid_csv maps
+DEFORMED_GRID_SIDE = 21
 # records per chunk of the CSV readers and rows per format call of
 # write_array_csv: a chunk's text stays small beside the arrays it becomes
 CHUNK_ROWS = 1024
@@ -391,11 +399,12 @@ def write_map_csv(path, points, images) -> None:
     write_array_csv(path, ["gx1", "gx2", "dx1", "dx2"], np.hstack([points, images]))
 
 
-def write_deformed_grid_csv(path, dmap: DeformationMap, n_side: int = 21) -> None:
-    """Regular n x n grid of geographic points and their deformed images."""
+def write_deformed_grid_csv(path, dmap: DeformationMap) -> None:
+    """Regular DEFORMED_GRID_SIDE^2 grid of geographic points and their
+    deformed images."""
     grid = dmap.grid
-    g1 = np.linspace(grid.x1_min, grid.x1_max, n_side)
-    g2 = np.linspace(grid.x2_min, grid.x2_max, n_side)
+    g1 = np.linspace(grid.x1_min, grid.x1_max, DEFORMED_GRID_SIDE)
+    g2 = np.linspace(grid.x2_min, grid.x2_max, DEFORMED_GRID_SIDE)
     xx, yy = np.meshgrid(g1, g2, indexing="ij")
     pts = np.column_stack([xx.ravel(), yy.ravel()])
     write_map_csv(path, pts, dmap(pts))
@@ -428,4 +437,7 @@ def read_config(path) -> dict:
             raise DataError(
                 f"config line {line_no}: cannot parse {key} value {value!r}"
             ) from None
+        if key in CONFIG_RANGES and not CONFIG_RANGES[key][1](out[key]):
+            raise DataError(f"config line {line_no}: {key} must be "
+                            f"{CONFIG_RANGES[key][0]}, got {value!r}")
     return out

@@ -31,6 +31,8 @@ __all__ = [
 ]
 
 Smoother = Callable[[np.ndarray, np.ndarray], np.ndarray]
+# sg_initialize stops once the stress changes by at most this fraction
+STRESS_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -187,7 +189,6 @@ def sg_initialize(
     sites,
     smoother: Smoother,
     max_iter: int = 50,
-    tol: float = 1e-6,
 ) -> Configuration:
     """Coordinate-update loop producing a deformed configuration (Sampson
     & Guttorp 1992), the baseline that ``compare`` runs with a thin-plate
@@ -197,10 +198,10 @@ def sg_initialize(
     dispersions, each pass smooths the coordinates over the geographic
     sites, refits the variogram on the smoothed interdistances, and
     re-embeds the variogram-inverted dispersions.  Stress is monitored;
-    the loop stops on a small relative stress change, after two
-    consecutive stress increases (best configuration so far is kept),
-    or at ``max_iter``.  The result is aligned to the sites by full
-    Procrustes.
+    the loop stops on a relative stress change of at most STRESS_TOL,
+    after two consecutive stress increases (best configuration so far is
+    kept), or at ``max_iter``.  The result is aligned to the sites by
+    full Procrustes.
     """
     sites = np.asarray(sites, dtype=float)
     n = sites.shape[0]
@@ -242,7 +243,7 @@ def sg_initialize(
                 break
         else:
             increases = 0
-        done = abs(new_stress - stress) <= tol * max(stress, 1e-300)
+        done = abs(new_stress - stress) <= STRESS_TOL * max(stress, 1e-300)
         config, stress = new_config, new_stress
         if done:
             break

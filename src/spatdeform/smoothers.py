@@ -25,8 +25,7 @@ from scipy.spatial.distance import cdist
 from .basis import KnotGrid, design_matrix, difference_penalty
 from .deformation import (
     CoefPair,
-    _corner_tables,
-    _corner_values_and_jac,
+    CornerRows,
     affine_coef,
     coef_to_vec,
     corner_values,
@@ -142,16 +141,20 @@ def tps_effective_dof(sites, lam: float) -> float:
     return float(n) if lam == 0.0 else _tps_dof(mu, n * lam)
 
 
-def tps_lambda_for_dof(sites, dof: float, lo: float = 1e-14, hi: float = 1e14) -> float:
+# tps_lambda_for_dof searches lambda within these bounds
+LAMBDA_BRACKET = (1e-14, 1e14)
+
+
+def tps_lambda_for_dof(sites, dof: float) -> float:
     """Smoothing parameter whose effective dof matches the target
-    (monotone bisection on log lambda)."""
+    (monotone bisection on log lambda within LAMBDA_BRACKET)."""
     sites = np.asarray(sites, dtype=float)
     n = sites.shape[0]
     if not 3.0 < dof < n:
         raise ValueError(f"target dof must lie in (3, {n}), got {dof}")
     mu = _tps_spectrum(sites)
     return 10.0 ** brentq(lambda loglam: _tps_dof(mu, n * 10.0**loglam) - dof,
-                          np.log10(lo), np.log10(hi), xtol=1e-13)
+                          *np.log10(LAMBDA_BRACKET), xtol=1e-13)
 
 
 def make_tps_smoother(lam: float):
@@ -314,12 +317,8 @@ def _interior_point(grid: KnotGrid, fun, hess, x0, epsilon, max_iter, rate=0.0,
     Returns a strictly feasible point no worse than ``x0``, and None or
     what stopped the solve short of its stopping test.
     """
-    m, tables = grid.k1 * grid.k2, _corner_tables(grid)
-    n_corner = tables["u_hi"].size
-    # corner value i is ((a_i v1)(b_i v2) - (b_i v1)(a_i v2)) / (tau1 tau2)
-    a, b, corner = np.zeros((n_corner, m)), np.zeros((n_corner, m)), np.arange(n_corner)
-    a[corner, tables["u_hi"]], a[corner, tables["u_lo"]] = 1.0, -1.0
-    b[corner, tables["v_hi"]], b[corner, tables["v_lo"]] = 1.0, -1.0
+    m, corners = grid.k1 * grid.k2, CornerRows(grid)
+    n_corner = len(corners.a)
     lin_a, lin_b = rows if rows is not None else (np.zeros((0, x0.size)), np.zeros(0))
     q = scipy.linalg.block_diag(spread, spread) if rate else np.zeros((2 * m, 2 * m))
     flat = np.zeros((x0.size, x0.size)) if flat is None else flat
@@ -342,7 +341,7 @@ def _interior_point(grid: KnotGrid, fun, hess, x0, epsilon, max_iter, rate=0.0,
 
     def slacks(x, want_jac=True):
         z = x[:2 * m]
-        vals, jac = _corner_values_and_jac(grid, z, tables, want_jac)
+        vals, jac = corners(z, want_jac)
         s = np.concatenate([vals - epsilon - rate * float(z @ q @ z), lin_a @ x - lin_b])
         if not want_jac:
             return s
@@ -371,8 +370,7 @@ def _interior_point(grid: KnotGrid, fun, hess, x0, epsilon, max_iter, rate=0.0,
     lam = np.minimum(mu / s, np.linalg.norm(r0) / np.maximum(reach, 1e-300))
     it, failure = 0, None
     while True:
-        dual = lam[:n_corner, None]
-        cross = (a.T @ (dual * b) - b.T @ (dual * a)) / (grid.tau1 * grid.tau2)
+        cross = corners.hessian_block(lam[:n_corner])
         kkt = model + mu * flat + jac.T @ ((lam / s)[:, None] * jac)
         kkt[:m, m:2 * m] -= cross
         kkt[m:2 * m, :m] += cross
@@ -382,7 +380,7 @@ def _interior_point(grid: KnotGrid, fun, hess, x0, epsilon, max_iter, rate=0.0,
             spread_now = float(x[:2 * m] @ qz)
             spread_grad[:2 * m] = (2.0 * n_corner / spread_now) * qz
             kkt[:2 * m, :2 * m] += (
-                (2.0 * rate * float(np.sum(dual)) + 2.0 * mu * n_corner / spread_now) * q
+                (2.0 * rate * float(np.sum(lam[:n_corner])) + 2.0 * mu * n_corner / spread_now) * q
                 - (4.0 * mu * n_corner / spread_now**2) * np.outer(qz, qz))
         factor = _shifted_cholesky(reduce(kkt))
         while True:

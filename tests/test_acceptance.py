@@ -31,7 +31,7 @@ from spatdeform.deformation import (
     min_jacobian,
 )
 from spatdeform.estimation import Dataset, FitConfig, fit, normalize_gauge
-from spatdeform.fields import Swirl, krige, simulate_grf
+from spatdeform.fields import KrigingSystem, Swirl, simulate_grf
 from spatdeform.scaling import configuration_stress, procrustes, sg_initialize
 from spatdeform.smoothers import (
     fit_bspline_constrained,
@@ -237,7 +237,7 @@ def test_criterion_8_kriging_correctness():
     cinv = np.linalg.inv(c11)
     mu = 1.3 + c12.T @ cinv @ (values - 1.3)
     sig = np.diag(c22 - c12.T @ cinv @ c12)
-    res = krige(model, sites, values, pred)
+    res = KrigingSystem(model, sites, values, pred).krige()
     oracle_ok = (np.abs(res.mean - mu).max() < 1e-8
                  and np.abs(res.variance - sig).max() < 1e-8)
 
@@ -246,7 +246,7 @@ def test_criterion_8_kriging_correctness():
     model0 = DeformModel(grid, coef, cov0, mean=0.0, diagnostics=FitDiagnostics())
     sites0 = rng.uniform(0.1, 0.9, (8, 2))
     vals0 = rng.normal(size=8)
-    res0 = krige(model0, sites0, vals0, sites0)
+    res0 = KrigingSystem(model0, sites0, vals0, sites0).krige()
     interp_ok = (np.abs(res0.mean - vals0).max() < 1e-8
                  and np.abs(res0.variance).max() < 1e-8)
 
@@ -254,7 +254,7 @@ def test_criterion_8_kriging_correctness():
     sites1 = rng.uniform(0.0, 1.0, (15, 2))
     vals1 = rng.normal(size=15)
     pred1 = rng.uniform(0.0, 1.0, (1000, 2))
-    res1 = krige(model, sites1, vals1, pred1)
+    res1 = KrigingSystem(model, sites1, vals1, pred1).krige()
     bounds_ok = bool(
         np.all(res1.variance >= 0.0)
         and np.all(res1.variance <= cov.sigma2 + cov.nugget + 1e-12)

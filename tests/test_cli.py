@@ -127,6 +127,25 @@ class TestBadSettings:
         assert rc == 2
         assert "data error" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    @pytest.mark.parametrize("setting", [
+        "t = 0", "t = 1", "grid_n = -1", "grid_n = 0", "grid_n = 1", "seed = -1",
+        "sigma2 = -1", "phi = 0", "nugget = -1", "nugget = nan", "swirl_radius = 0",
+        "--seed -3",
+    ])
+    def test_harness(self, tmp_path, capsys, command, setting):
+        # a config line, or an option that overrides the config
+        option = setting.startswith("--")
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("grid_n = 5\nT = 10\n" + ("" if option else setting + "\n"))
+        out = tmp_path / "out"
+        rc = main([command, "--config", str(cfg), "--out", str(out)]
+                  + (setting.split() if option else []))
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "data error" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_compare(self, workdir, capsys):
         cfg = workdir / "bad.cfg"
         cfg.write_text("grid_n = 5\nT = 10\nmax_outer = 0\n")
@@ -154,6 +173,18 @@ class TestBadSettings:
         assert rc == 2
         assert "data error" in err and "Traceback" not in err
         assert not (workdir / "bad.csv").exists()
+
+    def test_negative_seed(self, workdir, simulated, fitted_model, pred_grid, capsys):
+        out = workdir / "bad_seed.csv"
+        rc = main([
+            "predict", "--model", str(fitted_model), "--data", str(simulated / "data.csv"),
+            "--grid", str(pred_grid), "--time", "t000", "--out", str(out),
+            "--draws", "2", "--seed", "-1",
+        ])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "data error" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")

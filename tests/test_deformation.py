@@ -9,9 +9,8 @@ from spatdeform.basis import KnotGrid
 from spatdeform.deformation import (
     CORNER_ORDER,
     CoefPair,
+    CornerRows,
     DeformationMap,
-    _corner_tables,
-    _corner_values_and_jac,
     corner_values,
     default_epsilon,
     eval_map_points,
@@ -316,7 +315,7 @@ class TestCornerKernel:
         grid, z = case
         coef = vec_to_coef(grid, z)
         dmap = DeformationMap(grid, coef)
-        vals, _ = _corner_values_and_jac(grid, z, _corner_tables(grid), want_jac=False)
+        vals, _ = CornerRows(grid)(z, want_jac=False)
         expected = [
             float(cell_jacobian(dmap, ci, cj, s1, s2))
             for ci in range(grid.k1 - 1)
@@ -331,16 +330,35 @@ class TestCornerKernel:
         # each corner value is bilinear in z, so central differences are
         # exact up to rounding
         grid, z = case
-        tables = _corner_tables(grid)
-        _, jac = _corner_values_and_jac(grid, z, tables)
+        rows = CornerRows(grid)
+        _, jac = rows(z)
         h = 1e-4
         fd = np.empty_like(jac)
         for j in range(z.size):
             e = np.zeros(z.size)
             e[j] = h
-            plus, _ = _corner_values_and_jac(grid, z + e, tables, want_jac=False)
-            minus, _ = _corner_values_and_jac(grid, z - e, tables, want_jac=False)
+            plus, _ = rows(z + e, want_jac=False)
+            minus, _ = rows(z - e, want_jac=False)
             fd[:, j] = (plus - minus) / (2.0 * h)
         scale = 1.0 / (grid.tau1 * grid.tau2)
         assert_allclose(jac, fd, rtol=0.0, atol=1e-8 * scale * (1.0 + np.abs(z).max()) ** 2)
         assert np.all(np.count_nonzero(jac, axis=1) <= 8)
+
+    @given(grids_and_coefs(), st.integers(0, 2**32 - 1))
+    def test_hessian_block_matches_central_differences(self, case, seed):
+        # the Hessian of w' rows(z) is [[0, X], [-X, 0]], and J is linear
+        # in z, so central differences of w'J are exact up to rounding
+        grid, z = case
+        rows = CornerRows(grid)
+        w = np.random.default_rng(seed).uniform(0.0, 1.0, len(rows.a))
+        x = rows.hessian_block(w)
+        m = z.size // 2
+        hess = np.block([[np.zeros((m, m)), x], [-x, np.zeros((m, m))]])
+        h = 1e-4
+        fd = np.empty_like(hess)
+        for j in range(z.size):
+            e = np.zeros(z.size)
+            e[j] = h
+            fd[:, j] = w @ (rows(z + e)[1] - rows(z - e)[1]) / (2.0 * h)
+        scale = 1.0 / (grid.tau1 * grid.tau2)
+        assert_allclose(hess, fd, rtol=0.0, atol=1e-8 * scale * (1.0 + np.abs(z).max()))

@@ -333,11 +333,14 @@ class TestRefineCoordsMl:
         ll_ref = loglik(ds, DeformationMap(grid, refined), refined_cov)
         assert ll_ref >= ll_start
 
-    def test_warns_at_the_iteration_cap(self, problem):
+    def test_warns_at_the_iteration_cap(self, problem, monkeypatch):
+        import spatdeform.estimation as est
+
+        monkeypatch.setattr(est, "ASCENT_MAX_ITER", 2)
         ds, cov, grid = problem
         start = identity_coef(grid)
         with pytest.warns(RuntimeWarning, match=r"iteration limit \(2\)"):
-            refined, refined_cov = ascend(ds, cov, grid, start, epsilon=1e-3, max_iter=2)
+            refined, refined_cov = ascend(ds, cov, grid, start, epsilon=1e-3)
         assert corner_values(grid, refined).min() >= 1e-3 - 1e-9
         assert (loglik(ds, DeformationMap(grid, refined), refined_cov)
                 >= loglik(ds, DeformationMap(grid, start), cov))

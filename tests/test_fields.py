@@ -15,8 +15,6 @@ from spatdeform.estimation import DeformModel, FitDiagnostics
 from spatdeform.fields import (
     KrigingSystem,
     Swirl,
-    conditional_simulate,
-    krige,
     psd_root,
     simulate_grf,
 )
@@ -110,7 +108,7 @@ class TestKrige:
         sites = rng.uniform(0.1, 0.9, (8, 2))
         model = make_model(CovParams(1.0, 0.3, 0.0))
         values = rng.normal(size=8)
-        res = krige(model, sites, values, sites)
+        res = KrigingSystem(model, sites, values, sites).krige()
         assert_allclose(res.mean, values, atol=1e-8)
         assert_allclose(res.variance, 0.0, atol=1e-8)
 
@@ -118,7 +116,7 @@ class TestKrige:
         model = make_model(CovParams(1.5, 0.01, 0.5), lo=0.0, hi=1.0, mean=2.0)
         sites = np.array([[0.05, 0.05], [0.1, 0.05], [0.05, 0.1], [0.1, 0.1]])
         values = np.array([4.0, 5.0, 3.0, 6.0])
-        res = krige(model, sites, values, np.array([[0.9, 0.9]]))
+        res = KrigingSystem(model, sites, values, np.array([[0.9, 0.9]])).krige()
         assert_allclose(res.mean, 2.0, atol=1e-6)
         assert_allclose(res.variance, 2.0, atol=1e-6)
 
@@ -139,7 +137,7 @@ class TestKrige:
         mu = mean + c12.T @ cinv @ (values - mean)
         sig = c22 - c12.T @ cinv @ c12
 
-        res = krige(model, sites, values, pred)
+        res = KrigingSystem(model, sites, values, pred).krige()
         assert_allclose(res.mean, mu, atol=1e-8)
         assert_allclose(res.variance, np.diag(sig), atol=1e-8)
 
@@ -150,7 +148,7 @@ class TestKrige:
         model = make_model(cov)
         values = rng.normal(size=15)
         pred = rng.uniform(0.0, 1.0, (1000, 2))
-        res = krige(model, sites, values, pred)
+        res = KrigingSystem(model, sites, values, pred).krige()
         assert np.all(res.variance >= 0.0)
         assert np.all(res.variance <= cov.sigma2 + cov.nugget + 1e-12)
 
@@ -158,7 +156,7 @@ class TestKrige:
         model = make_model(CovParams(1.0, 0.3, 0.1))
         sites = np.random.default_rng(13).uniform(0, 1, (5, 2))
         with pytest.raises(DomainError):
-            krige(model, sites, np.zeros(5), np.array([[1.5, 0.5]]))
+            KrigingSystem(model, sites, np.zeros(5), np.array([[1.5, 0.5]])).krige()
 
     @pytest.mark.parametrize("sill", [1e6, 1e8])
     def test_exact_prediction_at_large_sill(self, sill):
@@ -167,7 +165,7 @@ class TestKrige:
         sites = rng.uniform(0.05, 0.95, (60, 2))
         model = make_model(CovParams(sill, 0.3, 0.0))
         values = np.sqrt(sill) * rng.normal(size=60)
-        res = krige(model, sites, values, sites)
+        res = KrigingSystem(model, sites, values, sites).krige()
         assert_allclose(res.mean, values, rtol=0, atol=1e-6 * np.sqrt(sill))
         assert np.all(res.variance <= 1e-10 * sill)
 
@@ -175,7 +173,7 @@ class TestKrige:
         model = make_model(CovParams(1.0, 0.3, 0.0))
         sites = np.array([[0.5, 0.5], [0.5, 0.5], [0.2, 0.2], [0.8, 0.8]])
         with pytest.raises(NumericalError):
-            krige(model, sites, np.zeros(4), np.array([[0.4, 0.4]]))
+            KrigingSystem(model, sites, np.zeros(4), np.array([[0.4, 0.4]])).krige()
 
 
 class TestKrigeAtNetworkScale:
@@ -241,8 +239,8 @@ class TestConditionalSimulate:
         model = make_model(CovParams(1.0, 0.3, 0.2))
         values = rng.normal(size=6)
         pred = rng.uniform(0.1, 0.9, (4, 2))
-        a = conditional_simulate(model, sites, values, pred, n_draws=1, seed=3)
-        b = conditional_simulate(model, sites, values, pred, n_draws=1, seed=3)
+        a = KrigingSystem(model, sites, values, pred).simulate(1, 3)
+        b = KrigingSystem(model, sites, values, pred).simulate(1, 3)
         assert np.array_equal(a, b)
 
     def test_mean_converges_to_kriging_mean(self):
@@ -252,8 +250,8 @@ class TestConditionalSimulate:
         model = make_model(cov)
         values = rng.normal(size=6)
         pred = rng.uniform(0.1, 0.9, (4, 2))
-        res = krige(model, sites, values, pred)
-        draws = conditional_simulate(model, sites, values, pred, n_draws=10000, seed=16)
+        system = KrigingSystem(model, sites, values, pred)
+        res, draws = system.krige(), system.simulate(10000, 16)
         se = np.sqrt(res.variance / 10000)
         assert np.all(np.abs(draws.mean(axis=1) - res.mean) <= 3 * se + 1e-12)
 
@@ -262,7 +260,7 @@ class TestConditionalSimulate:
         sites = rng.uniform(0.1, 0.9, (5, 2))
         model = make_model(CovParams(1.0, 0.3, 0.0))
         values = rng.normal(size=5)
-        draws = conditional_simulate(model, sites, values, sites[:2], n_draws=50, seed=18)
+        draws = KrigingSystem(model, sites, values, sites[:2]).simulate(50, 18)
         assert np.abs(draws - values[:2, None]).max() < 1e-6
 
 
@@ -315,7 +313,7 @@ class TestConditionalRoot:
         model = make_model(cov, mean=1.3)
         values = rng.normal(size=5)
         n = 40000
-        draws = conditional_simulate(model, sites, values, pred, n_draws=n, seed=23)
+        draws = KrigingSystem(model, sites, values, pred).simulate(n, 23)
         sig = dense_conditional_cov(cov, sites, pred)
         d = np.diag(sig)
         se = np.sqrt((np.outer(d, d) + sig**2) / n)
@@ -327,6 +325,6 @@ class TestConditionalRoot:
         other = rng.uniform(0.1, 0.9, (4, 2))
         pred = np.vstack([other, other[[2, 0]]])
         model = make_model(CovParams(1.0, 0.3, 0.0))
-        draws = conditional_simulate(model, sites, rng.normal(size=8), pred, n_draws=200, seed=25)
+        draws = KrigingSystem(model, sites, rng.normal(size=8), pred).simulate(200, 25)
         assert np.std(draws[0]) > 0.1
         assert_allclose(draws[[4, 5]], draws[[2, 0]], rtol=0, atol=1e-12)
