@@ -96,19 +96,18 @@ class DispersionMatrix:
 
 
 def exp_covariance(d, params: CovParams, cross: bool = False) -> np.ndarray:
-    """Exponential covariance sigma2 exp(-d / phi) from distances.
+    """Exponential covariance sigma2 exp(-d / phi), written over the
+    distances ``d`` and returned: a caller that reads them later passes a copy.
 
     ``d`` holds the interdistances of one point set, whose covariance
     carries the nugget on its diagonal; with ``cross`` it holds the
     distances between two sets, whose covariance has no nugget.
     """
-    # in place, so that no third array of the output's size is held
-    c = d / -params.phi
-    np.exp(c, out=c)
-    c *= params.sigma2
+    np.exp(np.divide(d, -params.phi, out=d), out=d)
+    d *= params.sigma2
     if not cross:
-        c[np.diag_indices_from(c)] += params.nugget
-    return c
+        d[np.diag_indices_from(d)] += params.nugget
+    return d
 
 
 def covariance_matrix(sites, mapping, params: CovParams) -> np.ndarray:

@@ -222,7 +222,7 @@ class _LikelihoodState:
     def at(cls, zc, w, z, g: float, phi: float) -> "_LikelihoodState":
         y = fitted_coords(w, z)
         d = cdist(y, y)
-        c = exp_covariance(d, CovParams(1.0, phi))
+        c = exp_covariance(d.copy(), CovParams(1.0, phi))  # the gradient reads d
         c[np.diag_indices_from(c)] += g
         return cls(zc, c, w, y, d, phi)
 
@@ -624,10 +624,14 @@ def _initial_cov(dataset: Dataset, dispersions: DispersionMatrix) -> CovParams:
 
     The full variogram is twice the covariance's, so its partial sill and
     nugget are halved; the range is held within [1e-4, 10] times the
-    sites' diameter.  Raises FitError when the variogram fit fails.
+    sites' diameter.  Raises DataError when the sites have fewer than 3
+    distinct distances, and FitError when the variogram fit fails.
     """
     v = float(np.mean(np.var(dataset.replicates, axis=1, ddof=1)))
     h = pdist(dataset.sites)
+    distinct = np.unique(h).size
+    if distinct < 3:
+        raise DataError(f"the variogram needs >= 3 distinct station distances, got {distinct}")
     diam = float(h.max())
     try:
         g = fit_variogram(h, dispersions.upper())
@@ -691,7 +695,8 @@ def fit(dataset: Dataset, config: FitConfig) -> DeformModel:
 
     Starts from the identity map, whose corner |J| = 1 must clear
     epsilon (else InfeasibilityError), and from the covariance of
-    ``_initial_cov`` (a FitError when its variogram fit fails).  Each
+    ``_initial_cov`` (a DataError when the sites have fewer than 3
+    distinct distances, a FitError when its variogram fit fails).  Each
     pass then runs the likelihood ascent from the incumbent coefficients,
     nugget ratio and range, in the ascent's chart (the sites' centroid at
     the origin, the map's scale held); its last state, at its exact

@@ -14,10 +14,12 @@ data sites, m = 10^4 prediction sites), and its results agree with a
 dense Cholesky solve to 1e-10 of the sill up to cond(C) = 2e6
 (tests/test_fields.py, TestKrigeAtNetworkScale).  The mean is
 mu + V^T L^-1 (z - mu), the variance sigma2 + nugget - colsum(V o V),
-and the conditional covariance K_pp - V^T V.  Conditional draws come
-from the pivoted Cholesky root of that covariance (LAPACK ``dpstrf``),
-which also covers the singular case of prediction sites at data sites,
-or repeated, with no nugget.
+and the conditional covariance K_pp - V^T V.  Each full-size array
+exists once: K is built over the (m, n) distances and V over K, and K_pp
+over the (m, m) distances, less V^T V (BLAS ``dsyrk``), then factored by
+pivoted Cholesky (LAPACK ``dpstrf``), all in place.  Draws apply the
+pivoted factor to standard normals, which also covers prediction sites
+at data sites, or repeated, with no nugget.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ __all__ = [
     "simulate_grf",
     "KrigeResult",
     "KrigingSystem",
-    "psd_root",
 ]
 
 
@@ -106,37 +107,8 @@ class KrigeResult:
 # not rounding; exact predictions round to about 1e-15 of that scale
 VARIANCE_SLACK = 1e-10
 # a trailing Schur complement entry above ROOT_SLACK times the scale marks
-# a matrix that is not positive semidefinite
+# a conditional covariance that is not positive semidefinite
 ROOT_SLACK = 1e-8
-
-
-def psd_root(a: np.ndarray, scale: float) -> np.ndarray:
-    """Root R, (m, rank), with R R^T = a for a positive semidefinite a.
-
-    Reads the lower triangle of ``a``.  LAPACK's pivoted Cholesky
-    (``dpstrf``) factors P^T a P = L L^T, stopping at the first pivot
-    below m eps ``scale``; row i of L becomes row piv[i] of R, so one
-    path serves full-rank and singular matrices.  When it stops at rank
-    r < m, the trailing (m - r)^2 Schur complement is formed from ``a``
-    and L; an entry above ``ROOT_SLACK * scale`` means ``a`` is not
-    positive semidefinite and raises NumericalError.
-    """
-    m = a.shape[0]
-    low, piv, rank, _ = lapack.dpstrf(a, tol=m * np.finfo(float).eps * scale, lower=1)
-    piv -= 1
-    if rank < m:
-        rest = piv[rank:]
-        tail = low[rank:, :rank]
-        schur = a[np.maximum.outer(rest, rest), np.minimum.outer(rest, rest)] - tail @ tail.T
-        worst = np.abs(schur).max()
-        if not worst <= ROOT_SLACK * scale:
-            raise NumericalError(f"covariance is not positive semidefinite: Schur complement "
-                                 f"entry {worst:.3g} at rank {rank} of {m}")
-    head = low[:rank, :rank]
-    head *= np.tri(rank, dtype=bool)
-    root = np.empty((m, rank))
-    root[piv] = low[:, :rank]
-    return root
 
 
 class KrigingSystem:
@@ -167,7 +139,8 @@ class KrigingSystem:
         inv, info = lapack.dtrtri(chol, lower=1, overwrite_c=1)
         if info != 0:
             raise NumericalError(f"cannot invert the Cholesky factor: dtrtri info {info}")
-        # built (m, n) and transposed: Fortran order, so it is multiplied in place
+        # K over the (m, n) distances, transposed: Fortran order, so V
+        # overwrites it in place
         cross = exp_covariance(cdist(self.yp, y), self.cov, cross=True).T
         self.v = blas.dtrmm(1.0, inv, cross, lower=1, overwrite_b=1)
         white = blas.dtrmv(inv, z - model.mean, lower=1)
@@ -180,22 +153,45 @@ class KrigingSystem:
             raise NumericalError(f"negative kriging variance {var.min()}")
         return KrigeResult(mean=self.mean, variance=np.clip(var, 0.0, None))
 
-    def conditional_root(self) -> np.ndarray:
-        """Pivoted root (``psd_root``) of the conditional covariance
-        K_pp - V^T V."""
-        # Fortran order, so dsyrk updates the lower triangle in place
+    def conditional_factor(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """Pivoted Cholesky factor (low, piv, rank) of K_pp - V^T V, as
+        ``dpstrf`` leaves it: P^T (K_pp - V^T V) P = L L^T, with L the
+        first ``rank`` columns of the lower triangle of ``low`` and site
+        piv[i] at row i.  When it stops at rank r < m, the trailing Schur
+        complement is recomputed from the model; an entry above
+        ``ROOT_SLACK`` times the scale raises NumericalError."""
+        m = self.yp.shape[0]
+        # Fortran order, so dsyrk and dpstrf overwrite the prior in place
         prior = exp_covariance(cdist(self.yp, self.yp), self.cov).T
         cond = blas.dsyrk(-1.0, self.v, beta=1.0, c=prior, trans=1, lower=1, overwrite_c=1)
-        return psd_root(cond, self.scale)
+        low, piv, rank, _ = lapack.dpstrf(cond, tol=m * np.finfo(float).eps * self.scale,
+                                          lower=1, overwrite_a=1)
+        piv -= 1
+        if rank < m:
+            rest = piv[rank:]
+            y_rest, v_rest, tail = self.yp[rest], self.v[:, rest], low[rank:, :rank]
+            schur = exp_covariance(cdist(y_rest, y_rest), self.cov)
+            schur -= v_rest.T @ v_rest + tail @ tail.T
+            worst = np.abs(schur).max()
+            if not worst <= ROOT_SLACK * self.scale:
+                raise NumericalError(f"covariance is not positive semidefinite: Schur complement "
+                                     f"entry {worst:.3g} at rank {rank} of {m}")
+        return low, piv, rank
 
     def simulate(self, n_draws: int, seed: int) -> np.ndarray:
-        """(m, n_draws) conditional draws, mean + R N for the conditional
-        root R, (m, rank), and N standard normal, (rank, n_draws).  R has
-        fewer columns than sites when a prediction site is a data site or
-        is repeated and there is no nugget: such sites then draw the data
-        value or each other's value."""
+        """(m, n_draws) conditional draws, mean + P L N for the factor of
+        ``conditional_factor`` and N standard normal, (rank, n_draws).
+        Fewer normals than sites are drawn when a prediction site is a
+        data site or is repeated and there is no nugget: such sites then
+        draw the data value or each other's value."""
         if n_draws < 1:
             raise ValueError(f"need at least one draw, got {n_draws}")
-        root = self.conditional_root()
-        rng = np.random.default_rng(seed)
-        return self.mean[:, None] + root @ rng.standard_normal((root.shape[1], n_draws))
+        low, piv, rank = self.conditional_factor()
+        normal = np.random.default_rng(seed).standard_normal((rank, n_draws))
+        draws = np.empty((piv.size, n_draws))
+        # low[:, :rank] is contiguous, and dtrmm reads its leading triangle
+        # with leading dimension m: the factor is not copied
+        draws[piv] = np.vstack([blas.dtrmm(1.0, low[:, :rank], normal, lower=1),
+                                low[rank:, :rank] @ normal])
+        draws += self.mean[:, None]
+        return draws

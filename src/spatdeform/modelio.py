@@ -80,7 +80,7 @@ POSITIVE = ("a finite number > 0", lambda v: 0.0 < v < math.inf)
 CONFIG_RANGES = {"sigma2": POSITIVE, "phi": POSITIVE, "swirl_radius": POSITIVE,
                  "nugget": ("a finite number >= 0", lambda v: 0.0 <= v < math.inf),
                  "swirl_strength": ("a finite number", math.isfinite),
-                 "grid_n": (">= 2", lambda v: v >= 2), "t": (">= 2", lambda v: v >= 2)}
+                 "grid_n": (">= 3", lambda v: v >= 3), "t": (">= 2", lambda v: v >= 2)}
 
 
 FLOAT_FORMAT = "%.17g"

@@ -4,10 +4,10 @@ package's vectorized kernels against.
 None of these is used by the package itself: the 1-d basis vectors, the
 skew-symmetric bilinear form A(x), the per-cell Jacobian, the corner
 functionals one by one, single-point map evaluation, the exponential
-correlation, a covariance step by finite differences, the
-coefficients' Fisher information at given coefficients, a coordinate
-smoother backed by the constrained B-spline fit, and the CSV readers
-record by record.
+correlation, the root of a pivoted Cholesky factor, a covariance step
+by finite differences, the coefficients' Fisher information at given
+coefficients, a coordinate smoother backed by the constrained B-spline
+fit, and the CSV readers record by record.
 """
 
 from __future__ import annotations
@@ -186,6 +186,16 @@ def correlation(h, params: CovParams):
     return float(out) if out.ndim == 0 else out
 
 
+def pivoted_root(low: np.ndarray, piv: np.ndarray, rank: int) -> np.ndarray:
+    """Root R, (m, rank), with R R^T = P L L^T P^T from a pivoted Cholesky
+    factor as ``KrigingSystem.conditional_factor`` returns it: L is the
+    first ``rank`` columns of the lower triangle of ``low``, and its row i
+    becomes row piv[i] of R."""
+    root = np.empty((low.shape[0], rank))
+    root[piv] = np.tril(low)[:, :rank]
+    return root
+
+
 def step_cov_fd(dataset, mapping, cov_init: CovParams) -> CovParams:
     """The covariance step searched directly over (sigma2, phi, nugget).
 
@@ -202,7 +212,9 @@ def step_cov_fd(dataset, mapping, cov_init: CovParams) -> CovParams:
 
     def objective(p):
         try:
-            return -replicate_loglik(dataset.replicates, exp_covariance(d, CovParams(*p)))
+            # a copy: exp_covariance writes over its distances
+            c = exp_covariance(d.copy(), CovParams(*p))
+            return -replicate_loglik(dataset.replicates, c)
         except (NumericalError, ValueError):
             return 1e300
 

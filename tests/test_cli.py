@@ -1,8 +1,13 @@
+import contextlib
 import csv
+import dataclasses
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spatdeform import modelio
 from spatdeform.cli import main
@@ -113,6 +118,21 @@ class TestEstimate:
         assert "Traceback" not in capsys.readouterr().err
 
 
+    def test_too_few_distinct_distances(self, workdir, capsys):
+        # the four corners of a square have two distinct distances, too few
+        # for the variogram of the initial covariance
+        sites = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        z = np.random.default_rng(3).normal(size=(4, 10))
+        data = workdir / "square.csv"
+        modelio.write_long_csv(data, sites, [f"s{i}" for i in range(4)],
+                               [f"t{j:02d}" for j in range(10)], z)
+        rc = main(["estimate", "--data", str(data), "--k", "2",
+                   "--out", str(workdir / "square.json")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "data error" in err and "distinct" in err and "Traceback" not in err
+
+
 class TestBadSettings:
     # every setting out of range is a data error: exit code 2, one line on
     # stderr and no traceback
@@ -129,7 +149,7 @@ class TestBadSettings:
 
     @pytest.mark.parametrize("command", ["simulate", "compare"])
     @pytest.mark.parametrize("setting", [
-        "t = 0", "t = 1", "grid_n = -1", "grid_n = 0", "grid_n = 1", "seed = -1",
+        "t = 0", "t = 1", "grid_n = -1", "grid_n = 0", "grid_n = 1", "grid_n = 2", "seed = -1",
         "sigma2 = -1", "phi = 0", "nugget = -1", "nugget = nan", "swirl_radius = 0",
         "--seed -3",
     ])
@@ -331,6 +351,36 @@ class TestPredict:
             "--grid", str(pred_grid), "--time", "bogus", "--out", str(workdir / "p.csv"),
         ])
         assert rc == 2
+
+
+class TestPredictExitCodes:
+    # data sites and repeated points make the conditional covariance
+    # singular when the nugget is 0; a point outside the domain is a data
+    # error.  Every run ends in exit 0, 2 or 3, without a traceback.
+    @settings(max_examples=50)
+    @given(nugget=st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), draws=st.integers(0, 3),
+           data=st.data())
+    def test_any_model_grid_and_draw_count(self, workdir, simulated, fitted_model,
+                                          nugget, draws, data):
+        sites = modelio.ingest(simulated / "data.csv").sites
+        inside = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+        outside = st.tuples(st.floats(1.01, 3.0), st.floats(0.0, 1.0))
+        site = st.integers(0, len(sites) - 1).map(lambda i: tuple(sites[i]))
+        points = data.draw(st.lists(st.one_of(site, inside, outside), min_size=1, max_size=12))
+        points += data.draw(st.lists(st.sampled_from(points), max_size=3))
+        model = modelio.load_model(fitted_model)
+        model = dataclasses.replace(model, cov=dataclasses.replace(model.cov, nugget=nugget))
+        model_path, grid = workdir / "any_model.json", workdir / "any_grid.csv"
+        modelio.save_model(model, model_path)
+        modelio.write_array_csv(grid, ["x1", "x2"], points)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(["predict", "--model", str(model_path), "--data",
+                       str(simulated / "data.csv"), "--grid", str(grid), "--time", "t002",
+                       "--out", str(workdir / "any_pred.csv"), "--draws", str(draws)])
+        assert rc in (0, 2, 3)
+        assert (rc == 2) == any(x1 > 1.0 for x1, _ in points)
+        assert "Traceback" not in err.getvalue()
 
 
 class TestCompare:

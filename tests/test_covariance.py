@@ -99,6 +99,14 @@ class TestCovarianceMatrix:
         with pytest.raises(NumericalError, match="non-finite"):
             factor_covariance(c)
 
+    def test_built_over_the_distances(self, traced_peak):
+        # no second array of the covariance's size is made
+        m = 2000
+        sites = np.random.default_rng(34).uniform(0.0, 1.0, (m, 2))
+        c, peak = traced_peak(covariance_matrix, sites, identity_map, CovParams(1.0, 0.3, 0.1))
+        assert peak < 1.5 * m * m * 8
+        assert_allclose(c[0, 1], np.exp(-np.linalg.norm(sites[0] - sites[1]) / 0.3))
+
 
 class TestSampleDispersions:
     def test_identical_rows_give_zero(self):

@@ -1,4 +1,3 @@
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -12,14 +11,9 @@ from spatdeform.covariance import CovParams, covariance_matrix, exp_covariance
 from spatdeform.deformation import identity_coef
 from spatdeform.errors import DomainError, NumericalError
 from spatdeform.estimation import DeformModel, FitDiagnostics
-from spatdeform.fields import (
-    KrigingSystem,
-    Swirl,
-    psd_root,
-    simulate_grf,
-)
+from spatdeform.fields import KrigingSystem, Swirl, simulate_grf
 
-from oracles import IdentityMap
+from oracles import IdentityMap, pivoted_root
 
 
 def make_model(cov, k=4, lo=0.0, hi=1.0, mean=0.0):
@@ -35,6 +29,41 @@ def dense_conditional_cov(cov, sites, pred):
     c12 = cov.sigma2 * np.exp(-cdist(sites, pred) / cov.phi)
     c22 = cov.sigma2 * np.exp(-cdist(pred, pred) / cov.phi) + cov.nugget * np.eye(len(pred))
     return c22 - c12.T @ np.linalg.solve(c11, c12)
+
+
+def full_rank_system():
+    """12 data sites and 30 prediction sites, with a nugget."""
+    rng = np.random.default_rng(20)
+    sites = rng.uniform(0.1, 0.9, (12, 2))
+    pred = rng.uniform(0.1, 0.9, (30, 2))
+    cov = CovParams(1.2, 0.35, 0.4)
+    return KrigingSystem(make_model(cov), sites, rng.normal(size=12), pred), sites, pred
+
+
+def rank_deficient_system():
+    """No nugget: of 23 prediction sites two are data sites and one is
+    repeated, so the conditional covariance has rank 20."""
+    rng = np.random.default_rng(21)
+    sites = rng.uniform(0.1, 0.9, (12, 2))
+    other = rng.uniform(0.1, 0.9, (20, 2))
+    pred = np.vstack([other[:10], sites[[3, 7]], other[10:], other[4:5]])
+    cov = CovParams(1.2, 0.35, 0.0)
+    return KrigingSystem(make_model(cov), sites, rng.normal(size=12), pred), sites, pred
+
+
+def system_with_conditional_cov(eigenvalues):
+    """A kriging system of 5 prediction sites whose conditional covariance
+    is a = Q diag(eigenvalues) Q^T times half the least eigenvalue of the
+    prior: V is replaced by a root of K_pp - a, padded to 8 data sites."""
+    rng = np.random.default_rng(22)
+    q, _ = np.linalg.qr(rng.normal(size=(5, 5)))
+    cov = CovParams(1.0, 0.3, 0.0)
+    system = KrigingSystem(make_model(cov), rng.uniform(0.1, 0.9, (8, 2)), np.zeros(8),
+                           rng.uniform(0.1, 0.9, (5, 2)))
+    prior = exp_covariance(cdist(system.yp, system.yp), cov)
+    a = 0.5 * np.linalg.eigvalsh(prior)[0] * (q * eigenvalues) @ q.T
+    system.v = np.vstack([np.linalg.cholesky(prior - a).T, np.zeros((3, 5))])
+    return system, a
 
 
 class TestSwirl:
@@ -193,7 +222,7 @@ class TestKrigeAtNetworkScale:
         values = mean + simulate_grf(sites, IdentityMap(), cov, t=1, seed=32).ravel()
         system = KrigingSystem(make_model(cov, mean=mean), sites, values, pred)
         res = system.krige()
-        root = system.conditional_root()
+        root = pivoted_root(*system.conditional_factor())
 
         c11 = covariance_matrix(sites, IdentityMap(), cov)
         assert cond / 3 < np.linalg.cond(c11) < 3 * cond
@@ -207,29 +236,37 @@ class TestKrigeAtNetworkScale:
 
 
 class TestKrigingMemory:
-    def test_cross_covariance_is_multiplied_in_place(self):
-        # V overwrites the cross-covariance, so the peak holds it and the
-        # distances it is built from, and no copy
+    # each guard bounds the peak that numpy allocates in one call; a second
+    # full-size array in the call would exceed its bound
+    def test_cross_covariance_is_multiplied_in_place(self, traced_peak):
+        # K is built over the (m, n) distances and V over K: the peak holds
+        # one array of that size
         rng = np.random.default_rng(33)
         n, m = 400, 10_000
         sites = rng.uniform(0.0, 1.0, (n, 2))
         pred = rng.uniform(0.0, 1.0, (m, 2))
         built = []
 
-        def record(*args, **kwargs):
-            built.append(exp_covariance(*args, **kwargs))
+        def record(*args):
+            built.append(cdist(*args))
             return built[-1]
 
-        with mock.patch("spatdeform.fields.exp_covariance", side_effect=record):
-            tracemalloc.start()
-            try:
-                system = KrigingSystem(make_model(CovParams(1.0, 0.3, 0.1)), sites,
-                                       rng.normal(size=n), pred)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert peak < 2.5 * n * m * 8
+        with mock.patch("spatdeform.fields.cdist", side_effect=record):
+            system, peak = traced_peak(KrigingSystem, make_model(CovParams(1.0, 0.3, 0.1)),
+                                       sites, rng.normal(size=n), pred)
+        assert peak < 1.5 * n * m * 8
         assert np.shares_memory(system.v, built[-1])
+
+    def test_draws_factor_the_conditional_covariance_in_place(self, traced_peak):
+        # the prior, the conditional covariance and its pivoted factor share
+        # one (m, m) array, and no root of it is formed
+        rng = np.random.default_rng(35)
+        n, m = 400, 1500
+        system = KrigingSystem(make_model(CovParams(1.0, 0.3, 0.1)), rng.uniform(0.0, 1.0, (n, 2)),
+                               rng.normal(size=n), rng.uniform(0.0, 1.0, (m, 2)))
+        draws, peak = traced_peak(system.simulate, 20, 36)
+        assert draws.shape == (m, 20)
+        assert peak < 1.5 * m * m * 8
 
 
 class TestConditionalSimulate:
@@ -265,42 +302,40 @@ class TestConditionalSimulate:
 
 
 class TestConditionalRoot:
+    # R is the root that the oracle rebuilds from the pivoted factor
     def test_full_rank_reproduces_the_conditional_covariance(self):
-        rng = np.random.default_rng(20)
-        sites = rng.uniform(0.1, 0.9, (12, 2))
-        pred = rng.uniform(0.1, 0.9, (30, 2))
-        cov = CovParams(1.2, 0.35, 0.4)
-        system = KrigingSystem(make_model(cov), sites, rng.normal(size=12), pred)
-        root = system.conditional_root()
+        system, sites, pred = full_rank_system()
+        root = pivoted_root(*system.conditional_factor())
         assert root.shape == (30, 30)
-        assert_allclose(root @ root.T, dense_conditional_cov(cov, sites, pred),
-                        rtol=0, atol=1e-10 * (cov.sigma2 + cov.nugget))
+        assert_allclose(root @ root.T, dense_conditional_cov(system.cov, sites, pred),
+                        rtol=0, atol=1e-10 * system.scale)
 
     def test_rank_deficient_reproduces_the_conditional_covariance(self):
-        # no nugget: two prediction sites are data sites and one is repeated
-        rng = np.random.default_rng(21)
-        sites = rng.uniform(0.1, 0.9, (12, 2))
-        other = rng.uniform(0.1, 0.9, (20, 2))
-        pred = np.vstack([other[:10], sites[[3, 7]], other[10:], other[4:5]])
-        cov = CovParams(1.2, 0.35, 0.0)
-        system = KrigingSystem(make_model(cov), sites, rng.normal(size=12), pred)
-        root = system.conditional_root()
+        system, sites, pred = rank_deficient_system()
+        root = pivoted_root(*system.conditional_factor())
         assert root.shape == (23, 20)
-        assert_allclose(root @ root.T, dense_conditional_cov(cov, sites, pred),
-                        rtol=0, atol=1e-10 * cov.sigma2)
+        assert_allclose(root @ root.T, dense_conditional_cov(system.cov, sites, pred),
+                        rtol=0, atol=1e-10 * system.scale)
+
+    @pytest.mark.parametrize("make", [full_rank_system, rank_deficient_system])
+    def test_draws_apply_the_factor(self, make):
+        # the draws are the mean plus R N, with N the same standard normals
+        system = make()[0]
+        root = pivoted_root(*system.conditional_factor())
+        normal = np.random.default_rng(37).standard_normal((root.shape[1], 4))
+        assert_allclose(system.simulate(4, 37), system.mean[:, None] + root @ normal,
+                        rtol=0, atol=1e-12 * system.scale)
 
     def test_semidefinite_matrix(self):
-        q, _ = np.linalg.qr(np.random.default_rng(22).normal(size=(5, 5)))
-        a = (q * [1.0, 0.6, 0.3, 0.1, 0.0]) @ q.T
-        root = psd_root(a, 1.0)
+        system, a = system_with_conditional_cov([1.0, 0.6, 0.3, 0.1, 0.0])
+        root = pivoted_root(*system.conditional_factor())
         assert root.shape == (5, 4)
         assert_allclose(root @ root.T, a, rtol=0, atol=1e-10)
 
     def test_indefinite_matrix_raises(self):
-        q, _ = np.linalg.qr(np.random.default_rng(22).normal(size=(5, 5)))
-        a = 3.0 * (q * [1.0, 0.6, 0.3, 0.1, -1e-3]) @ q.T
+        system, _ = system_with_conditional_cov([1.0, 0.6, 0.3, 0.1, -1e-3])
         with pytest.raises(NumericalError, match="not positive semidefinite"):
-            psd_root(a, 3.0)
+            system.simulate(3, 38)
 
     def test_draws_have_the_conditional_covariance(self):
         # the 5 + 3 split of test_conditional_gaussian_oracle; a root whose
