@@ -37,8 +37,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import lapack, solve_triangular
+from scipy.linalg import blas, block_diag, lapack, solve_triangular
 from scipy.spatial.distance import cdist, pdist
 
 from .basis import KnotGrid, design_matrix, difference_penalty
@@ -49,6 +48,7 @@ from .covariance import (
     exp_covariance,
     factor_covariance,
     fit_variogram,
+    invert_lower,
     sample_dispersions,
 )
 from .deformation import (
@@ -209,8 +209,9 @@ class _LikelihoodState:
     coordinates y = W z of the stacked coefficients z.  It also gives the
     log-likelihood of sigma2 C maximized over sigma2, that profiled
     log-likelihood's gradient in x = (z, g), and the information of x.
-    C^-1 is formed on first use, which only the gradient and the
-    information make.
+    A value forms L and L^-1 Z.  The gradient and the information share
+    ``cinv`` and ``kernel``, formed on first use; a gradient adds C^-1 Z
+    and a copy of C^-1's triangle, an information R_k and R_k C^-1.
     """
 
     def __init__(self, zc, c, w=None, y=None, d=None, phi=None):
@@ -222,7 +223,7 @@ class _LikelihoodState:
     def at(cls, zc, w, z, g: float, phi: float) -> "_LikelihoodState":
         y = fitted_coords(w, z)
         d = cdist(y, y)
-        c = exp_covariance(d.copy(), CovParams(1.0, phi))  # the gradient reads d
+        c = exp_covariance(d.copy(), CovParams(1.0, phi))  # the kernel reads d
         c[np.diag_indices_from(c)] += g
         return cls(zc, c, w, y, d, phi)
 
@@ -250,12 +251,17 @@ class _LikelihoodState:
 
     @functools.cached_property
     def cinv(self) -> np.ndarray:
-        # LAPACK potri: about a third of the work of solving against I; it
-        # fills only the lower triangle of C^-1, mirrored here in place
-        inv = lapack.dpotri(self.lower, lower=1)[0]
-        out = np.tril(inv)
-        out += np.triu(inv.T, 1)
-        return out
+        """C^-1 = L^-T L^-1 (LAPACK lauum) in the lower triangle; the upper
+        one holds C's until ``information`` mirrors the lower one there."""
+        return lapack.dlauum(invert_lower(self.lower.copy("F")), lower=1, overwrite_c=1)[0]
+
+    @functools.cached_property
+    def kernel(self) -> np.ndarray:
+        """G = -C / (phi D) strictly below the diagonal, 0 elsewhere and at
+        co-located stations (D = 0): dC_ij / dy_i = (G + G')_ij (y_i - y_j)."""
+        g = np.zeros_like(self.d)
+        np.divide(self.c, self.d, out=g, where=np.tri(len(g), k=-1, dtype=bool) & (self.d > 0))
+        return np.multiply(g, -1.0 / self.phi, out=g)
 
     @functools.cached_property
     def profiled_grad(self) -> np.ndarray:
@@ -265,18 +271,15 @@ class _LikelihoodState:
         by (1/2)[tr(V' dC V) / sigma2 - T tr(C^-1 dC)] (Mardia & Marshall
         1984); at the maximizing sigma2 the profiled one changes by the
         same.  dC is I for g.  For z it chains through C_ij = exp(-D_ij /
-        phi) off the diagonal and D_ij = |y_i - y_j|.
+        phi) off the diagonal and D_ij = |y_i - y_j|: dl/dy_i is sum_j A_ij
+        (y_i - y_j), A = (V V' / sigma2 - T C^-1) o (G + G') (lower half).
         """
-        t = self.zc.shape[1]
-        v = self.cinv @ self.zc
+        t, y = self.zc.shape[1], self.y
+        v = blas.dsymm(1.0, self.cinv, self.zc, lower=1)
         s2 = float(np.sum(self.zc * v)) / self.zc.size
-        dldc = 0.5 * (v @ v.T / s2 - t * self.cinv)
-        dldd = -(1.0 / self.phi) * dldc * self.c
-        np.fill_diagonal(dldd, 0.0)
-        d, y = self.d, self.y
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(d > 0, 2.0 * dldd / np.where(d > 0, d, 1.0), 0.0)
-        grad_y = ratio.sum(axis=1)[:, None] * y - ratio @ y
+        ratio = blas.dsyrk(1.0 / s2, v, beta=-t, c=self.cinv.copy("F"), lower=1, overwrite_c=1)
+        ratio *= self.kernel  # the entries on and above the diagonal meet its zeros
+        grad_y = (ratio.sum(axis=1) + ratio.sum(axis=0))[:, None] * y - ratio @ y - ratio.T @ y
         d_g = 0.5 * (float(np.sum(v * v)) / s2 - t * np.trace(self.cinv))
         return np.concatenate([self.w.T @ grad_y[:, 0], self.w.T @ grad_y[:, 1], [d_g]])
 
@@ -292,28 +295,31 @@ class _LikelihoodState:
         of component k, and P_k = R_k Ch.  The coefficient blocks (k, l)
         are then (T/2) W' X W with X = 2 [P_k o P_l' - Ch o (P_k R_l)], and
         tr(B C_p) for a symmetric B is 2 (W' rowsum(B o R_k))_p, so the
-        2 K1 K2 derivative matrices are never formed.
+        2 K1 K2 derivative matrices are never formed.  The nugget column
+        takes rowsum((Ch Ch) o R_k) as rowsum(Ch o P_k).
         """
-        d, y, cinv, w = self.d, self.y, self.cinv, self.w
-        safe = np.where(d > 0, d, 1.0)
-        r = [np.where(d > 0, -(self.c / self.phi) * (y[:, k, None] - y[None, :, k]) / safe,
-                      0.0) for k in range(2)]
-        p = [rk @ cinv for rk in r]
-        cinv2 = cinv @ cinv
+        y, w, cinv = self.y, self.w, self.cinv
+        # R_k' = (y_j - y_i)(G + G')_ij in C order is R_k in Fortran order, read uncopied
+        kernel = self.kernel + self.kernel.T
+        r = [(np.subtract.outer(-y[:, k], -y[:, k]) * kernel).T for k in range(2)]
+        del kernel
+        p = [blas.dsymm(1.0, cinv, rk, side=1, lower=1) for rk in r]
+        for j in range(len(y) - 1):
+            cinv[j, j + 1:] = cinv[j + 1:, j]
         m = w.shape[1]
         info = np.empty((2 * m + 1, 2 * m + 1))
         for k in range(2):
             for l in range(k, 2):
-                block = 2.0 * (w.T @ (p[k] * p[l].T - cinv * (p[k] @ r[l])) @ w)
+                block = 2.0 * (w.T @ (p[k] * p[l].T - p[k] @ r[l] * cinv) @ w)
                 info[k * m:(k + 1) * m, l * m:(l + 1) * m] = block
                 info[l * m:(l + 1) * m, k * m:(k + 1) * m] = block.T
-            info[k * m:(k + 1) * m, -1] = 2.0 * (w.T @ np.sum(cinv2 * r[k], axis=1))
+            info[k * m:(k + 1) * m, -1] = 2.0 * (w.T @ np.sum(cinv * p[k], axis=1))
         info[-1, :-1] = info[:-1, -1]
         info[-1, -1] = np.sum(cinv * cinv)
         trace = np.concatenate([2.0 * (w.T @ np.sum(cinv * rk, axis=1)) for rk in r]
                                + [[np.trace(cinv)]])
         t = self.zc.shape[1]
-        return 0.5 * t * info, np.sqrt(0.5 * t / len(d)) * trace
+        return 0.5 * t * info, np.sqrt(0.5 * t / len(y)) * trace
 
 
 def replicate_loglik(replicates, cov_matrix) -> float:
@@ -583,7 +589,7 @@ def refine_coords_ml(
     bounds = np.array([0.0, -G_MAX, -np.log(RANGE_REACH), -np.log(RANGE_REACH)])
     # scaled to the start's spread, so that no scale of the map moves it
     weight = BARRIER_ROUGHNESS / (grid.tau1 * grid.tau2) * penalty.q0 / penalty.spread(x0[:-2])
-    flat = scipy.linalg.block_diag(weight * roughness, 0.0, 0.0)
+    flat = block_diag(weight * roughness, 0.0, 0.0)
     x, failure = _interior_point(
         grid, fun, metric, x0, 0.0, ASCENT_MAX_ITER, rate=epsilon / penalty.q0, spread=wc.T @ wc,
         rows=(box, bounds), gauge=gauge, flat=flat)

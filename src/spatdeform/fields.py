@@ -6,9 +6,9 @@ the Cholesky factor, and simple Kriging with conditional simulation for
 a fitted deformation model.
 
 Prediction builds one kriging system per call: the Cholesky factor L of
-the data covariance, its inverse from LAPACK ``dtrtri``, and V = L^-1 K
-from one in-place triangular product (BLAS ``dtrmm``) with the
-cross-covariance K.  With one OpenBLAS thread that product runs 2-3x
+the data covariance, its inverse from ``covariance.invert_lower``, and
+V = L^-1 K from one in-place triangular product (BLAS ``dtrmm``) with
+the cross-covariance K.  With one OpenBLAS thread that product runs 2-3x
 faster than the triangular solve ``dtrsm`` on the same shape (n = 400
 data sites, m = 10^4 prediction sites), and its results agree with a
 dense Cholesky solve to 1e-10 of the sill up to cond(C) = 2e6
@@ -35,6 +35,7 @@ from .covariance import (
     covariance_matrix,
     exp_covariance,
     factor_covariance,
+    invert_lower,
 )
 from .errors import NumericalError
 
@@ -116,7 +117,7 @@ class KrigingSystem:
 
     Holds V = L^-1 K for the lower Cholesky factor L of the data
     covariance C and the cross-covariance K.  L is inverted once
-    (``dtrtri``), and L^-1 multiplies K in place (``dtrmm``) and whitens
+    (``invert_lower``), and L^-1 multiplies K in place (``dtrmm``) and whitens
     the data, L^-1 (z - mu): a triangular product runs faster than the
     triangular solve with as many right-hand sides.  The mean, the
     variance and the conditional covariance all read from V.  The
@@ -134,11 +135,7 @@ class KrigingSystem:
         self.cov = model.cov
         self.scale = model.cov.sigma2 + model.cov.nugget
         self.yp = dmap(pred_sites)
-        chol, _ = factor_covariance(exp_covariance(cdist(y, y), self.cov))
-        # the upper triangle still holds C, so only the lower one is read
-        inv, info = lapack.dtrtri(chol, lower=1, overwrite_c=1)
-        if info != 0:
-            raise NumericalError(f"cannot invert the Cholesky factor: dtrtri info {info}")
+        inv = invert_lower(factor_covariance(exp_covariance(cdist(y, y), self.cov))[0])
         # K over the (m, n) distances, transposed: Fortran order, so V
         # overwrites it in place
         cross = exp_covariance(cdist(self.yp, y), self.cov, cross=True).T

@@ -3,11 +3,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.linalg import cho_factor, cho_solve, lapack, solve_triangular
+from scipy.linalg import blas, cho_factor, cho_solve, lapack, solve_triangular
 from scipy.spatial.distance import cdist
 
 from spatdeform.basis import KnotGrid, design_matrix
-from spatdeform.covariance import CovParams, covariance_matrix
+from spatdeform.covariance import INVERSE_BLOCK, CovParams, covariance_matrix, invert_lower
 from spatdeform.deformation import (
     CoefPair,
     DeformationMap,
@@ -409,13 +409,26 @@ def swirl_problem():
     return Dataset(sites, z), cov, grid
 
 
+@pytest.fixture(scope="module")
+def colocated_problem():
+    # above twice the inverse's block size, so that it recurses twice, and
+    # with two stations at the same coordinates, whose distance stays 0
+    sites = np.random.default_rng(40).uniform(size=(130, 2))
+    sites[1] = sites[0]
+    cov = CovParams(1.0, 0.3, 0.5)
+    z = simulate_grf(sites, Swirl(strength=1.0), cov, t=30, seed=41)
+    return Dataset(sites, z), cov, KnotGrid(0.0, 1.0, 0.0, 1.0, 3, 3)
+
+
 def reference_negloglik_and_grad(ds, phi, grid, solves=False):
     """The unpenalized negative profiled log-likelihood over x = (z, g) at
     range ``phi``, and its gradient, written out plainly.  The value takes
     sigma2 from one triangular solve, as the package does.  For the
-    gradient, with ``solves``, C^-1 Z and C^-1 come from Cholesky solves;
-    otherwise from the Cholesky inverse (LAPACK potri), as the package
-    computes them."""
+    gradient, with ``solves``, C^-1 Z and C^-1 come from Cholesky solves
+    and the full n x n derivative kernel; otherwise they come in the
+    package's kernel order: the lower triangle of C^-1 from the shared
+    triangular inverse and LAPACK lauum, C^-1 Z from BLAS symm, and the
+    strictly lower triangle of the kernel from BLAS syrk."""
     zc = ds.demeaned()
     n, t = zc.shape
     w = design_matrix(grid, ds.sites).toarray()
@@ -429,23 +442,28 @@ def reference_negloglik_and_grad(ds, phi, grid, solves=False):
         c = corr + g * np.eye(n)
         factor = cho_factor(c, lower=True)
         logdet = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
-        if solves:
-            cinv_z = cho_solve(factor, zc)
-            cinv = cho_solve(factor, np.eye(n))
-        else:
-            cinv = lapack.dpotri(factor[0], lower=1)[0]
-            cinv = np.tril(cinv) + np.tril(cinv, -1).T
-            cinv_z = cinv @ zc
         white = solve_triangular(factor[0], zc, lower=True)
         s2 = float(np.sum(white * white)) / (n * t)
         ll = -0.5 * (n * t * (np.log(2.0 * np.pi * s2) + 1.0) + t * logdet)
-        s2 = float(np.sum(zc * cinv_z)) / (n * t)
-        dldc = 0.5 * (cinv_z @ cinv_z.T / s2 - t * cinv)
-        dldd = -(1.0 / phi) * dldc * corr
-        np.fill_diagonal(dldd, 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(d > 0, 2.0 * dldd / np.where(d > 0, d, 1.0), 0.0)
-        grad_y = ratio.sum(axis=1)[:, None] * y - ratio @ y
+        if solves:
+            cinv_z = cho_solve(factor, zc)
+            cinv = cho_solve(factor, np.eye(n))
+            s2 = float(np.sum(zc * cinv_z)) / (n * t)
+            dldc = 0.5 * (cinv_z @ cinv_z.T / s2 - t * cinv)
+            dldd = -(1.0 / phi) * dldc * corr
+            np.fill_diagonal(dldd, 0.0)
+            ratio = np.divide(2.0 * dldd, d, out=np.zeros_like(d), where=d > 0)
+            grad_y = ratio.sum(axis=1)[:, None] * y - ratio @ y
+        else:
+            cinv = lapack.dlauum(invert_lower(factor[0].copy(order="F")), lower=1)[0]
+            cinv_z = blas.dsymm(1.0, cinv, zc, lower=1)
+            s2 = float(np.sum(zc * cinv_z)) / (n * t)
+            kernel = np.tril(np.divide(corr, d, out=np.zeros_like(d), where=d > 0), -1)
+            kernel *= -1.0 / phi
+            ratio = blas.dsyrk(1.0 / s2, cinv_z, beta=-t, c=cinv, lower=1)
+            ratio *= kernel
+            grad_y = ((ratio.sum(axis=1) + ratio.sum(axis=0))[:, None] * y
+                      - ratio @ y - ratio.T @ y)
         d_g = 0.5 * (float(np.sum(cinv_z * cinv_z)) / s2 - t * np.trace(cinv))
         return -ll, -np.concatenate([w.T @ grad_y[:, 0], w.T @ grad_y[:, 1], [d_g]])
 
@@ -506,28 +524,28 @@ class TestSmoothnessPenalty:
         # the penalty term is what separates it from the likelihood alone
         assert f0 > objective(x, cov.phi, 0.0)[0]
 
-    def test_zero_weight_is_the_unpenalized_objective(self, swirl_problem):
+    def test_zero_weight_is_the_unpenalized_objective(self, swirl_problem, colocated_problem):
         # refine_coords_ml's interior-point ascent runs on this objective:
         # at lam=0 the value and the gradient are the plain profiled
         # likelihood's bit for bit, on the value-only path its backtracking
         # line search uses too, and the solve-based gradient agrees to rounding
-        ds, cov, grid = swirl_problem
         rng = np.random.default_rng(23)
-        reference = reference_negloglik_and_grad(ds, cov.phi, grid)
-        by_solves = reference_negloglik_and_grad(ds, cov.phi, grid, solves=True)
-        objective = CoefObjective(ds, grid)
-        for _ in range(3):
-            x = np.append(coef_to_vec(wobbled(grid, rng)), rng.uniform(0.1, 1.0))
-            f_ref, g_ref = reference(x)
-            f, g = objective(x, cov.phi, 0.0)
-            assert f == f_ref
-            assert np.array_equal(g, g_ref)
-            f_value, g_value = objective(x, cov.phi, 0.0, want_grad=False)
-            assert g_value is None
-            assert f_value == f
-            f_sol, g_sol = by_solves(x)
-            assert_allclose(f, f_sol, rtol=1e-13)
-            assert_allclose(g, g_sol, rtol=0, atol=1e-10 * np.abs(g_sol).max())
+        for ds, cov, grid in (swirl_problem, colocated_problem):
+            reference = reference_negloglik_and_grad(ds, cov.phi, grid)
+            by_solves = reference_negloglik_and_grad(ds, cov.phi, grid, solves=True)
+            objective = CoefObjective(ds, grid)
+            for _ in range(3):
+                x = np.append(coef_to_vec(wobbled(grid, rng)), rng.uniform(0.1, 1.0))
+                f_ref, g_ref = reference(x)
+                f, g = objective(x, cov.phi, 0.0)
+                assert f == f_ref
+                assert np.array_equal(g, g_ref)
+                f_value, g_value = objective(x, cov.phi, 0.0, want_grad=False)
+                assert g_value is None
+                assert f_value == f
+                f_sol, g_sol = by_solves(x)
+                assert_allclose(f, f_sol, rtol=1e-13)
+                assert_allclose(g, g_sol, rtol=0, atol=1e-10 * np.abs(g_sol).max())
 
     def test_penalized_refine_is_smoother_and_feasible(self, swirl_problem):
         ds, cov, grid = swirl_problem
@@ -540,17 +558,27 @@ class TestSmoothnessPenalty:
                 < pen.value_and_grad(coef_to_vec(plain))[0])
 
 
-@pytest.mark.parametrize("n", [7, 121, 400])
-def test_inverse_is_the_two_copy_symmetrization_bit_for_bit(n):
-    # the state mirrors potri's lower triangle in place; the reference in
-    # reference_negloglik_and_grad adds two tril copies
-    sites = np.random.default_rng(n).uniform(size=(n, 2))
-    c = covariance_matrix(sites, IdentityMap(), CovParams(1.0, 0.3, 0.2))
+@pytest.mark.parametrize("ill", [False, True], ids=["well", "cond1e8"])
+@pytest.mark.parametrize("n", [1, 2, 7, 121, INVERSE_BLOCK - 1, INVERSE_BLOCK, INVERSE_BLOCK + 1,
+                               2 * INVERSE_BLOCK + 1, 400])
+def test_shared_inverse_matches_lapack(n, ill):
+    # invert_lower hands blocks up to INVERSE_BLOCK to dtrtri and joins
+    # larger ones by triangular products; the state turns it into C^-1
+    # with lauum, where LAPACK's potri would run dtrtri on the whole factor
+    rng = np.random.default_rng(n)
+    if ill:
+        q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        c = (q * np.logspace(0, -8, n)) @ q.T
+        c = 0.5 * (c + c.T)
+    else:
+        c = covariance_matrix(rng.uniform(size=(n, 2)), IdentityMap(), CovParams(1.0, 0.3, 0.2))
     state = _LikelihoodState(np.zeros((n, 2)), c)
-    inv = lapack.dpotri(state.lower, lower=1)[0]
-    reference = np.tril(inv) + np.tril(inv, -1).T
-    assert np.array_equal(state.cinv, reference)
-    assert np.array_equal(state.cinv, state.cinv.T)
+    low = np.tril(state.lower)
+    inv = np.tril(invert_lower(state.lower.copy(order="F")))
+    assert_allclose(low @ inv, np.eye(n), rtol=0, atol=1e-12)
+    potri = np.tril(lapack.dpotri(state.lower, lower=1)[0])
+    bound = 1e-13 * np.linalg.cond(c) * np.abs(potri).max()
+    assert np.abs(np.tril(state.cinv) - potri).max() <= bound
 
 
 def test_each_state_is_factored_once(swirl_problem, monkeypatch):
@@ -595,40 +623,69 @@ def test_no_pass_refactors_a_rescaled_covariance(stationary_dataset, monkeypatch
     assert repeats == []
 
 
-class TestFisherInformation:
-    def test_matches_dense_per_coefficient_reference(self, swirl_problem):
-        ds, cov, grid = swirl_problem
-        coef = wobbled(grid, np.random.default_rng(24))
-        info = coef_fisher_information(ds, cov, grid, coef)
+class TestLikelihoodMemory:
+    # peaks of one call on a fresh state at n = 400, in n x n arrays of
+    # doubles; the state's own C, D and factor exist before the call
+    @pytest.fixture(scope="class")
+    def fresh_state(self):
+        n = 400
+        rng = np.random.default_rng(42)
+        sites = rng.uniform(size=(n, 2))
+        grid = KnotGrid(0.0, 1.0, 0.0, 1.0, 4, 4)
+        zc = Dataset(sites, rng.normal(size=(n, 30))).demeaned()
+        x = np.append(coef_to_vec(wobbled(grid, rng, 0.02)), 0.3)
+        w = design_matrix(grid, sites).toarray()
+        return lambda: _LikelihoodState.at(zc, w, x[:-1], x[-1], 0.3)
 
-        # dense reference: (t/2) tr(C^-1 dC/dx_p C^-1 dC/dx_q) with one
-        # n x n derivative matrix per coefficient, and sigma2 I for the
-        # nugget ratio g of C = sigma2 (R + g I)
-        w = design_matrix(grid, ds.sites).toarray()
-        z = coef_to_vec(coef)
-        m = grid.k1 * grid.k2
-        y = np.column_stack([w @ z[:m], w @ z[m:]])
-        diff = y[:, None, :] - y[None, :, :]
-        d = np.sqrt(np.sum(diff**2, axis=2))
-        expo = cov.sigma2 * np.exp(-d / cov.phi)
-        cinv = np.linalg.inv(expo + cov.nugget * np.eye(len(y)))
-        derivs = []
-        for k in range(2):
-            for p in range(m):
-                dy = w[:, p][:, None] - w[:, p][None, :]
-                dd = np.divide(diff[:, :, k] * dy, d, out=np.zeros_like(d), where=d > 0)
-                derivs.append(-(expo / cov.phi) * dd)
-        derivs.append(cov.sigma2 * np.eye(len(y)))
-        dense = np.array([[0.5 * ds.t * np.trace(cinv @ a @ cinv @ b) for b in derivs]
-                          for a in derivs])
-        assert_allclose(info, dense[:-1, :-1], rtol=0, atol=1e-10 * np.abs(dense).max())
-        # the nugget row, and the part u u' that profiling sigma2 out
-        # removes, u_p = sqrt(t / 2n) tr(C^-1 dC/dx_p)
-        x = np.append(z, cov.nugget / cov.sigma2)
-        info_x, sill_part = CoefObjective(ds, grid).state(x, cov.phi).information
-        assert_allclose(info_x, dense, rtol=0, atol=1e-10 * np.abs(dense).max())
-        traces = np.sqrt(0.5 * ds.t / len(y)) * np.array([np.trace(cinv @ a) for a in derivs])
-        assert_allclose(sill_part, traces, rtol=0, atol=1e-10 * np.abs(traces).max())
+    def test_gradient_reads_one_triangle(self, fresh_state, traced_peak):
+        # C^-1, the kernel G and one copy of C^-1's triangle: a mirrored
+        # C^-1 or a full-size temporary more would exceed the bound
+        state = fresh_state()
+        n = len(state.d)
+        _, peak = traced_peak(lambda: state.profiled_grad)
+        assert peak < 4 * n * n * 8
+
+    def test_information_forms_no_inverse_square(self, fresh_state, traced_peak):
+        state = fresh_state()
+        n = len(state.d)
+        _, peak = traced_peak(lambda: state.information)
+        assert peak <= 9 * n * n * 8
+
+
+class TestFisherInformation:
+    def test_matches_dense_per_coefficient_reference(self, swirl_problem, colocated_problem):
+        for ds, cov, grid in (swirl_problem, colocated_problem):
+            coef = wobbled(grid, np.random.default_rng(24))
+            info = coef_fisher_information(ds, cov, grid, coef)
+
+            # dense reference: (t/2) tr(C^-1 dC/dx_p C^-1 dC/dx_q) with one
+            # n x n derivative matrix per coefficient, and sigma2 I for the
+            # nugget ratio g of C = sigma2 (R + g I); each C^-1 dC/dx_p is
+            # formed once
+            w = design_matrix(grid, ds.sites).toarray()
+            z = coef_to_vec(coef)
+            m = grid.k1 * grid.k2
+            y = np.column_stack([w @ z[:m], w @ z[m:]])
+            diff = y[:, None, :] - y[None, :, :]
+            d = np.sqrt(np.sum(diff**2, axis=2))
+            expo = cov.sigma2 * np.exp(-d / cov.phi)
+            cinv = np.linalg.inv(expo + cov.nugget * np.eye(len(y)))
+            derivs = []
+            for k in range(2):
+                for p in range(m):
+                    dy = w[:, p][:, None] - w[:, p][None, :]
+                    dd = np.divide(diff[:, :, k] * dy, d, out=np.zeros_like(d), where=d > 0)
+                    derivs.append(cinv @ (-(expo / cov.phi) * dd))
+            derivs.append(cov.sigma2 * cinv)
+            dense = np.array([[0.5 * ds.t * np.sum(a * b.T) for b in derivs] for a in derivs])
+            assert_allclose(info, dense[:-1, :-1], rtol=0, atol=1e-10 * np.abs(dense).max())
+            # the nugget row, and the part u u' that profiling sigma2 out
+            # removes, u_p = sqrt(t / 2n) tr(C^-1 dC/dx_p)
+            x = np.append(z, cov.nugget / cov.sigma2)
+            info_x, sill_part = CoefObjective(ds, grid).state(x, cov.phi).information
+            assert_allclose(info_x, dense, rtol=0, atol=1e-10 * np.abs(dense).max())
+            traces = np.sqrt(0.5 * ds.t / len(y)) * np.array([np.trace(a) for a in derivs])
+            assert_allclose(sill_part, traces, rtol=0, atol=1e-10 * np.abs(traces).max())
 
     def test_gauge_shifts_carry_no_information(self, swirl_problem):
         ds, cov, grid = swirl_problem
