@@ -5,13 +5,21 @@ Observation data travels in a long CSV (one row per station and
 period); ingestion applies a complete-case filter and reports dropped
 stations.
 
-CSV files are read as UTF-8 in one ``csv.reader`` pass, a chunk of
-records at a time, and each chunk is converted a column at a time: floats
-by ``map(float, ...)``, station ids and time labels through dict index
-maps.  One numpy scatter fills the replicate matrix, and the checks run on
-the index arrays.  Only when a check fails are the records walked one by
-one, to name the first offending record.  Fields may be quoted and padded
-with whitespace; blank records are skipped.
+CSV files are read as UTF-8 in one pass, a chunk of CHUNK_ROWS records
+at a time, in one of two ways.  A chunk of lines that holds no quote, no
+NUL and no line longer than ``csv.field_size_limit()`` is split by one
+``str.split`` over its text, each column a slice of the tokens; such lines
+are the records, and strip is skipped when the text is ASCII without the
+characters it removes.  The first chunk that holds any of these goes,
+with the rest of the file, to a ``csv.reader``, which reads quoted fields
+(a quoted line break among them), NULs and the field limit as the csv
+module does on the running Python.  Each chunk is then converted a column
+at a time: floats by ``map(float, ...)``, station ids and time labels
+through dict index maps.  One numpy scatter fills the replicate matrix,
+and the checks run on the index arrays.  Only when a check fails are the
+records walked one by one, to name the first offending record.  Fields
+may be quoted and padded with whitespace; lines may end in LF, CRLF or
+CR; blank records are skipped.
 
 CSV output is comma-separated with CRLF line ends and no quoting, every
 float rendered as ``%.17g`` (17 significant digits, so it reads back
@@ -26,7 +34,7 @@ import csv
 import dataclasses
 import json
 import math
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import NoReturn
 
@@ -89,6 +97,9 @@ DEFORMED_GRID_SIDE = 21
 # records per chunk of the CSV readers and rows per format call of
 # write_array_csv: a chunk's text stays small beside the arrays it becomes
 CHUNK_ROWS = 1024
+# the ASCII characters besides line ends that str.strip removes: a chunk of
+# plain ASCII text without them needs no strip
+STRIPPED_ASCII = " \t\x0b\x0c\x1c\x1d\x1e\x1f"
 
 
 def fmt(x: float) -> str:
@@ -195,6 +206,42 @@ def load_model(path) -> DeformModel:
         raise DataError(f"malformed model file {path}: {e}") from None
 
 
+def _rows_to_columns(rows: list[list[str]], numbers, width: int):
+    """The stripped columns of ``rows`` that have ``width`` fields, their
+    record numbers, and the message of the first row of another width
+    unless it is blank; the rows end before that one."""
+    error = None
+    if set(map(len, rows)) - {width}:
+        kept = []
+        for k, row in enumerate(rows):
+            if len(row) == width:
+                kept.append(k)
+            elif any(map(str.strip, row)):
+                error = f"line {numbers[k]}: expected {width} fields, got {len(row)}"
+                break
+        rows, numbers = [rows[k] for k in kept], [numbers[k] for k in kept]
+    return numbers, [list(map(str.strip, col)) for col in zip(*rows)] or [[]] * width, error
+
+
+def _split_plain(text: str, numbers, width: int):
+    """``_rows_to_columns`` for the text of lines that hold no quote, no
+    NUL and no field beyond the csv module's limit, which such lines split
+    at their commas alike.  One split of the chunk's text leaves a "\n"
+    token after every record, so when each record has ``width`` fields
+    every (width+1)-th token is one and the columns are slices."""
+    # in ASCII text without the other characters that str.strip removes,
+    # str.splitlines breaks lines only where the file's lines end
+    bare = text.isascii() and not any(c in text for c in STRIPPED_ASCII)
+    lines = (text.splitlines() if bare else
+             text.replace("\r\n", "\n").replace("\r", "\n").split("\n")[:len(numbers)])
+    tokens = (",\n,".join(lines) + ",\n").split(",")
+    stride = width + 1
+    if len(tokens) != len(numbers) * stride or tokens[width::stride].count("\n") != len(numbers):
+        return _rows_to_columns([line.split(",") for line in lines], numbers, width)
+    columns = [tokens[j::stride] for j in range(width)]
+    return numbers, columns if bare else [list(map(str.strip, col)) for col in columns], None
+
+
 def _read_chunks(path: Path, header: list[str], kind: str):
     """Read a CSV file that must start with ``header``, in one pass, a
     chunk of records at a time.
@@ -206,35 +253,38 @@ def _read_chunks(path: Path, header: list[str], kind: str):
     message is the last chunk's ``error`` (None otherwise), for the caller
     to raise once the records before it pass its checks.  Chunks keep the
     text of a large file from being held all at once.
+
+    Chunks of plain lines are split by ``_split_plain``; from the first
+    chunk that holds a quote, a NUL or a long line on, a ``csv.reader``
+    reads the rest of the file.
     """
     if not path.exists():
         raise DataError(f"{kind} file {path} does not exist")
     width = len(header)
+    limit = csv.field_size_limit()
     try:
         with path.open(newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            first = next(reader, None)
+            first = next(csv.reader(fh), None)
             if first is None:
                 raise DataError(f"{path}: empty file")
             if [h.strip() for h in first] != header:
                 raise DataError(
                     f"{path}: header must be {','.join(header)}, got {','.join(first)}"
                 )
+            reader = None
             start, error, full = 2, None, True
             while full and error is None:
-                rows = list(islice(reader, CHUNK_ROWS))
+                if reader is None:
+                    lines = list(islice(fh, CHUNK_ROWS))
+                    text = "".join(lines)
+                    if '"' in text or "\0" in text or (
+                            len(text) > limit and max(map(len, lines)) > limit):
+                        reader = csv.reader(chain(lines, fh))
+                rows = lines if reader is None else list(islice(reader, CHUNK_ROWS))
                 numbers = range(start, start + len(rows))
                 start, full = start + len(rows), len(rows) == CHUNK_ROWS
-                if set(map(len, rows)) - {width}:
-                    kept = []
-                    for k, row in enumerate(rows):
-                        if len(row) == width:
-                            kept.append(k)
-                        elif any(map(str.strip, row)):
-                            error = f"line {numbers[k]}: expected {width} fields, got {len(row)}"
-                            break
-                    rows, numbers = [rows[k] for k in kept], [numbers[k] for k in kept]
-                columns = [list(map(str.strip, col)) for col in zip(*rows)] or [[]] * width
+                numbers, columns, error = (_split_plain(text, numbers, width) if reader is None
+                                           else _rows_to_columns(rows, numbers, width))
                 if "" in columns[0]:  # a blank record is empty in every column
                     kept = [k for k, fields in enumerate(zip(*columns)) if any(fields)]
                     columns = [[col[k] for k in kept] for col in columns]

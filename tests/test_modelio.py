@@ -1,3 +1,4 @@
+import csv
 import json
 import random
 from unittest import mock
@@ -270,14 +271,15 @@ def render(rnd, field: str) -> str:
     quoted = '"' + field.replace('"', '""') + '"'
     if "," in field:
         return quoted
-    return rnd.choice([field, field, quoted, f" {field}", f"{field}\t ", f'" {field} "'])
+    return rnd.choice([field, field, quoted, f" {field}", f"{field}\t ", f'" {field} "',
+                       f"{field}\xa0"])
 
 
 def write_records(rnd, path, header: str, records: list[list[str]], blanks) -> None:
     lines = [header] + [",".join(render(rnd, f) for f in rec) for rec in records]
     for _ in range(rnd.randint(0, 3)):
         lines.insert(rnd.randint(1, len(lines)), rnd.choice(blanks))
-    end = rnd.choice(["\n", "\r\n"])
+    end = rnd.choice(["\n", "\r\n", "\r"])
     path.write_bytes((end.join(lines) + rnd.choice(["", end])).encode())
 
 
@@ -359,6 +361,77 @@ def test_read_grid_csv_matches_the_record_by_record_oracle(tmp_path_factory, see
     write_records(rnd, path, "x1,x2", records, ["", ",", " , "])
     with mock.patch.object(modelio, "CHUNK_ROWS", chunk):
         assert outcome(modelio.read_grid_csv, path) == outcome(oracles.read_grid_csv, path)
+
+
+def oracle_outcome(read, path, kind: str):
+    """``outcome`` of an oracle, whose csv errors stand for the DataError
+    that the package's readers raise for them."""
+    try:
+        return outcome(read, path)
+    except csv.Error as e:
+        return f"DataError: cannot read {kind} file {path}: {e}"
+
+
+def panel_lines(n: int = 4, t: int = 3) -> list[str]:
+    return [f"s{i},{i},{i % 2},p{j},{i + 0.5 * j}" for i in range(n) for j in range(t)]
+
+
+class TestReaderHandOff:
+    # the readers split plain chunks themselves and leave the first chunk
+    # with a quote, a NUL or a long line, and the rest of the file, to
+    # the csv module; a special record late in the file puts plain chunks
+    # before it
+    @pytest.mark.parametrize("chunk", CHUNK_SIZES)
+    def test_nul_in_a_station_id(self, tmp_path, chunk):
+        # csv raises "line contains NUL" before Python 3.11 and reads the
+        # field from 3.11 on: either way the readers agree with the oracle
+        lines = panel_lines(5)
+        lines[-2] = lines[-2].replace("s4,", "s\x004,")
+        path = tmp_path / "data.csv"
+        write_rows(path, lines)
+        with mock.patch.object(modelio, "CHUNK_ROWS", chunk):
+            assert outcome(modelio.ingest, path) == oracle_outcome(oracles.ingest, path, "data")
+
+    @pytest.mark.parametrize("chunk", CHUNK_SIZES)
+    def test_field_beyond_the_csv_limit(self, tmp_path, chunk):
+        lines = panel_lines()
+        lines.insert(9, "s9," + "1" * 200_000 + ",0,p0,1")
+        path = tmp_path / "data.csv"
+        write_rows(path, lines)
+        with mock.patch.object(modelio, "CHUNK_ROWS", chunk):
+            got = outcome(modelio.ingest, path)
+        assert got == oracle_outcome(oracles.ingest, path, "data")
+        assert got.endswith(f"field larger than field limit ({csv.field_size_limit()})")
+
+    def test_grid_field_beyond_the_csv_limit(self, tmp_path):
+        path = tmp_path / "grid.csv"
+        path.write_text("x1,x2\n0.5,0.5\n" + "2" * 200_000 + ",0.5\n")
+        got = outcome(modelio.read_grid_csv, path)
+        assert got == oracle_outcome(oracles.read_grid_csv, path, "grid")
+        assert "field larger than field limit" in got
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_quoted_line_break_after_plain_chunks(self, tmp_path, end):
+        # a quoted id may hold a line break, which only the csv module reads
+        lines = [line.replace("s4,", '"s\r\n4",') for line in panel_lines(5)]
+        path = tmp_path / "data.csv"
+        path.write_bytes(end.join(["station_id,x1,x2,time,value", *lines]).encode())
+        with mock.patch.object(modelio, "CHUNK_ROWS", 2):
+            got = modelio.ingest(path)
+        assert got.ids == ("s\r\n4", "s0", "s1", "s2", "s3")
+        assert outcome(modelio.ingest, path) == outcome(oracles.ingest, path)
+
+    def test_peak_memory_holds_one_chunk_of_text(self, tmp_path, traced_peak):
+        # 40 000 records, 2.9 MB: the reader of one csv.reader list per
+        # record peaked at 5.32 MB here, and loading the whole file at once
+        # takes several times that
+        rng = np.random.default_rng(0)
+        path = tmp_path / "data.csv"
+        modelio.write_long_csv(path, rng.uniform(size=(400, 2)), [f"s{i:04d}" for i in range(400)],
+                               [f"t{j:03d}" for j in range(100)], rng.normal(size=(400, 100)))
+        ds, peak = traced_peak(modelio.ingest, path)
+        assert ds.replicates.shape == (400, 100)
+        assert peak <= 1.25 * 5.32e6
 
 
 class TestArrayCsv:
