@@ -27,6 +27,7 @@ __all__ = [
     "factor_covariance",
     "invert_lower",
     "sample_dispersions",
+    "distinct_distances",
     "fit_variogram",
     "variogram_inverse",
 ]
@@ -184,21 +185,26 @@ VARIOGRAM_BINS = 15
 INVERSE_CAP_RANGES = 3.0
 
 
+def distinct_distances(h: np.ndarray) -> int:
+    """The number of distinct values in ``h``, or 3 when it holds more.  A
+    value strictly between the least and the greatest proves 3, which a
+    variogram fit needs, without the sort of ``np.unique``."""
+    lo, hi = h.min(), h.max()
+    if lo < hi and ((h > lo) & (h < hi)).any():
+        return 3
+    return np.unique(h).size
+
+
 def _bin_pairs(h: np.ndarray, d2: np.ndarray):
     """VARIOGRAM_BINS equal-width distance bins; returns (mean h, mean d2,
     count) per nonempty bin."""
-    lo, hi = h.min(), h.max()
-    edges = np.linspace(lo, hi, VARIOGRAM_BINS + 1)
+    edges = np.linspace(h.min(), h.max(), VARIOGRAM_BINS + 1)
     idx = np.clip(np.digitize(h, edges[1:-1]), 0, VARIOGRAM_BINS - 1)
-    hb, gb, nb = [], [], []
-    for b in range(VARIOGRAM_BINS):
-        mask = idx == b
-        if not np.any(mask):
-            continue
-        hb.append(h[mask].mean())
-        gb.append(d2[mask].mean())
-        nb.append(mask.sum())
-    return np.array(hb), np.array(gb), np.array(nb)
+    nb = np.bincount(idx, minlength=VARIOGRAM_BINS)
+    full = nb > 0
+    nb = nb[full]
+    return (np.bincount(idx, h, VARIOGRAM_BINS)[full] / nb,
+            np.bincount(idx, d2, VARIOGRAM_BINS)[full] / nb, nb)
 
 
 def fit_variogram(h, d2) -> VariogramModel:
@@ -214,8 +220,9 @@ def fit_variogram(h, d2) -> VariogramModel:
     d2 = np.asarray(d2, dtype=float).ravel()
     if h.shape != d2.shape:
         raise ValueError("h and d2 must have equal length")
-    if np.unique(h).size < 3:
-        raise FitError(f"variogram fit needs >= 3 distinct distances, got {np.unique(h).size}")
+    distinct = distinct_distances(h)
+    if distinct < 3:
+        raise FitError(f"variogram fit needs >= 3 distinct distances, got {distinct}")
     hb, gb, nb = _bin_pairs(h, d2)
     gmax = gb.max()
     if gmax <= 0 or (gb.max() - gb.min()) <= 1e-12 * max(gmax, 1.0):
@@ -223,12 +230,23 @@ def fit_variogram(h, d2) -> VariogramModel:
 
     hscale = hb.max()
     tiny = 1e-10 * gmax
+    weight = np.sqrt(nb)
+
+    def model(p):
+        a, b, r = p
+        decay = np.exp(-hb / r)
+        return a + b * (1.0 - decay), decay
 
     def residuals(p):
-        a, b, r = p
-        g = a + b * (1.0 - np.exp(-hb / r))
-        g = np.maximum(g, tiny)
-        return np.sqrt(nb) * (gb - g) / g
+        g = np.maximum(model(p)[0], tiny)
+        return weight * (gb - g) / g
+
+    def jacobian(p):
+        # d residual / d g is -weight gb / g^2, and 0 where tiny clips g
+        _, b, r = p
+        g, decay = model(p)
+        dg = np.where(g > tiny, -weight * gb / np.maximum(g, tiny) ** 2, 0.0)
+        return np.column_stack([dg, dg * (1.0 - decay), -dg * b * decay * hb / r**2])
 
     a0 = max(min(gb.min(), gb[0]), 0.0)
     b0 = max(gmax - a0, 0.1 * gmax)
@@ -240,6 +258,7 @@ def fit_variogram(h, d2) -> VariogramModel:
         sol = least_squares(
             residuals,
             x0=[min(a0, upper[0]), min(b0, upper[1]), r0],
+            jac=jacobian,
             bounds=([0.0, tiny, 1e-8 * hscale], upper),
             xtol=1e-15,
             ftol=1e-15,

@@ -45,6 +45,7 @@ from .covariance import (
     CovParams,
     DispersionMatrix,
     covariance_matrix,
+    distinct_distances,
     exp_covariance,
     factor_covariance,
     fit_variogram,
@@ -635,7 +636,7 @@ def _initial_cov(dataset: Dataset, dispersions: DispersionMatrix) -> CovParams:
     """
     v = float(np.mean(np.var(dataset.replicates, axis=1, ddof=1)))
     h = pdist(dataset.sites)
-    distinct = np.unique(h).size
+    distinct = distinct_distances(h)
     if distinct < 3:
         raise DataError(f"the variogram needs >= 3 distinct station distances, got {distinct}")
     diam = float(h.max())

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from spatdeform import covariance
 from spatdeform.basis import KnotGrid
 from spatdeform.covariance import (
     CovParams,
     DispersionMatrix,
     VariogramModel,
     covariance_matrix,
+    distinct_distances,
     factor_covariance,
     fit_variogram,
     sample_dispersions,
@@ -187,6 +189,50 @@ class TestFitVariogram:
     def test_all_distances_equal_error(self):
         with pytest.raises(FitError):
             fit_variogram(np.full(10, 0.5), np.linspace(0, 1, 10))
+
+    def test_distinct_distances(self):
+        assert distinct_distances(np.full(4, 0.5)) == 1
+        assert distinct_distances(np.array([1.0, 2.0, 1.0, 2.0])) == 2
+        assert distinct_distances(np.array([2.0, 1.0, 3.0, 3.0])) == 3
+        assert distinct_distances(np.linspace(0.0, 1.0, 50)) == 3  # at least 3
+
+    def test_bins_pool_the_pairs_of_each_distance_class(self):
+        rng = np.random.default_rng(3)
+        h, d2 = rng.uniform(0.1, 2.0, 500), rng.uniform(0.0, 3.0, 500)
+        h[:40] = 0.7  # a bin of repeated distances, and some bins left empty
+        h[40:] = np.where(h[40:] < 1.2, h[40:], 1.9)
+        edges = np.linspace(h.min(), h.max(), covariance.VARIOGRAM_BINS + 1)
+        idx = np.clip(np.digitize(h, edges[1:-1]), 0, covariance.VARIOGRAM_BINS - 1)
+        masks = [idx == b for b in range(covariance.VARIOGRAM_BINS) if (idx == b).any()]
+        hb, gb, nb = covariance._bin_pairs(h, d2)
+        assert_allclose(hb, [h[m].mean() for m in masks], rtol=1e-14)
+        assert_allclose(gb, [d2[m].mean() for m in masks], rtol=1e-14)
+        assert nb.tolist() == [m.sum() for m in masks]
+
+    def test_jacobian_matches_central_differences(self, monkeypatch):
+        # checked at each start and at each solution, one of which leaves
+        # the nugget at its bound 0
+        errors = []
+
+        def check(fun, jac, x):
+            step = 1e-6 * np.maximum(np.abs(x), 1e-3)
+            fd = np.column_stack([(fun(x + e) - fun(x - e)) / (2 * e[j])
+                                  for j, e in enumerate(np.diag(step))])
+            errors.append(np.abs(jac(x) - fd).max() / np.abs(fd).max())
+
+        def spy(fun, x0, jac, **kwargs):
+            check(fun, jac, np.asarray(x0, dtype=float))
+            sol = least_squares(fun, x0, jac=jac, **kwargs)
+            check(fun, jac, sol.x + 1e-6 * sol.x.max())  # inside the bounds
+            return sol
+
+        least_squares = covariance.least_squares
+        monkeypatch.setattr(covariance, "least_squares", spy)
+        rng = np.random.default_rng(7)
+        h = rng.uniform(0.02, 1.0, 300)
+        for truth in (VariogramModel(0.5, 1.0, 0.3), VariogramModel(1e-12, 2.0, 0.4)):
+            fit_variogram(h, truth(h) + 0.05 * rng.normal(size=300))
+        assert len(errors) == 12 and max(errors) < 1e-6
 
     def test_reports_rss(self):
         rng = np.random.default_rng(7)
