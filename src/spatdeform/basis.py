@@ -88,7 +88,7 @@ def cell_and_local(grid: KnotGrid, axis: int, x) -> tuple[np.ndarray, np.ndarray
         i = int(np.argmax(bad))
         where = f" (index {i})" if x.size > 1 else ""
         raise DomainError(
-            f"coordinate {x.flat[i]!r} outside axis-{axis} bounds [{lo}, {hi}]{where}"
+            f"coordinate {float(x.flat[i])} outside axis-{axis} bounds [{lo}, {hi}]{where}"
         )
     t = (x - lo) / grid.axis_tau(axis)
     cell = np.clip(np.floor(t).astype(int), 0, grid.axis_count(axis) - 2)

@@ -345,6 +345,17 @@ class TestPredict:
         ]) == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("x1", ["nan", "1.5", "-inf"])
+    def test_grid_point_outside_the_domain(self, workdir, simulated, fitted_model, capsys, x1):
+        # the message names the coordinate as a plain float, not a numpy repr
+        grid = workdir / "outside_grid.csv"
+        grid.write_text(f"x1,x2\n0.5,0.5\n{x1},0.5\n")
+        rc = main(["predict", "--model", str(fitted_model), "--data", str(simulated / "data.csv"),
+                   "--grid", str(grid), "--time", "t000", "--out", str(workdir / "z.csv")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"coordinate {x1} outside axis-1 bounds" in err and "Traceback" not in err
+
     def test_unknown_time_label(self, workdir, simulated, fitted_model, pred_grid):
         rc = main([
             "predict", "--model", str(fitted_model), "--data", str(simulated / "data.csv"),
