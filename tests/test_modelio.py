@@ -393,22 +393,21 @@ class TestReaderHandOff:
             assert outcome(modelio.ingest, path) == oracle_outcome(oracles.ingest, path, "data")
 
     @pytest.mark.parametrize("chunk", CHUNK_SIZES)
-    def test_field_beyond_the_csv_limit(self, tmp_path, chunk):
-        lines = panel_lines()
-        lines.insert(9, "s9," + "1" * 200_000 + ",0,p0,1")
-        path = tmp_path / "data.csv"
-        write_rows(path, lines)
+    @pytest.mark.parametrize("kind", ["data", "grid"])
+    def test_field_beyond_the_csv_limit(self, tmp_path, kind, chunk):
+        if kind == "data":
+            lines = panel_lines()
+            lines.insert(9, "s9," + "1" * 200_000 + ",0,p0,1")
+            read, oracle = modelio.ingest, oracles.ingest
+        else:
+            lines = ["0.5,0.5"] * 9 + ["2" * 200_000 + ",0.5"]
+            read, oracle = modelio.read_grid_csv, oracles.read_grid_csv
+        path = tmp_path / f"{kind}.csv"
+        write_rows(path, lines, header="station_id,x1,x2,time,value" if kind == "data" else "x1,x2")
         with mock.patch.object(modelio, "CHUNK_ROWS", chunk):
-            got = outcome(modelio.ingest, path)
-        assert got == oracle_outcome(oracles.ingest, path, "data")
+            got = outcome(read, path)
+        assert got == oracle_outcome(oracle, path, kind)
         assert got.endswith(f"field larger than field limit ({csv.field_size_limit()})")
-
-    def test_grid_field_beyond_the_csv_limit(self, tmp_path):
-        path = tmp_path / "grid.csv"
-        path.write_text("x1,x2\n0.5,0.5\n" + "2" * 200_000 + ",0.5\n")
-        got = outcome(modelio.read_grid_csv, path)
-        assert got == oracle_outcome(oracles.read_grid_csv, path, "grid")
-        assert "field larger than field limit" in got
 
     @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
     def test_quoted_line_break_after_plain_chunks(self, tmp_path, end):
