@@ -42,8 +42,8 @@ from .scaling import sg_initialize
 from .smoothers import fit_tps, make_tps_smoother, tps_effective_dof, tps_lambda_for_dof
 
 # simulation-study defaults: 11 x 11 unit grid, unit sill and nugget,
-# quarter-unit range, vortex deformation; compare's fits use the FitConfig
-# defaults
+# quarter-unit range, vortex deformation; compare's fits take FitConfig's
+# defaults for the fit keys a config leaves out
 HARNESS_DEFAULTS = {
     "grid_n": 11,
     "sigma2": 1.0,
@@ -53,9 +53,6 @@ HARNESS_DEFAULTS = {
     "swirl_radius": 0.35,
     "t": 100,
     "seed": 1,
-    "epsilon": None,
-    "tol": 1e-6,
-    "max_outer": 10,
 }
 COMPARE_K = (4, 6, 8)
 # published smoothing parameters quoted for reference next to the
@@ -98,12 +95,8 @@ def cmd_simulate(args) -> None:
 
 
 def cmd_estimate(args) -> None:
-    config = FitConfig(
-        k1=args.k,
-        k2=args.k,
-        epsilon=args.epsilon,
-        tol=args.tol if args.tol is not None else 1e-6,
-    )
+    given = {"epsilon": args.epsilon, "tol": args.tol}
+    config = FitConfig(args.k, args.k, **{key: v for key, v in given.items() if v is not None})
     dataset = modelio.ingest(args.data)
     if dataset.dropped_ids:
         print(f"dropped {len(dataset.dropped_ids)} incomplete stations: "
@@ -181,8 +174,8 @@ def cmd_compare(args) -> None:
     ctrue = covariance_matrix(sites, truth, cov_true)
     iu = np.triu_indices(len(sites), k=1)
     d2 = sample_dispersions(z)
-    configs = [FitConfig(k1=k, k2=k, epsilon=cfg["epsilon"], tol=cfg["tol"],
-                         max_outer=cfg["max_outer"]) for k in COMPARE_K]
+    given = {key: cfg[key] for key in ("epsilon", "tol", "max_outer") if key in cfg}
+    configs = [FitConfig(k, k, **given) for k in COMPARE_K]
     # each thin-plate baseline matches the dof K^2, which must lie in (3, n)
     n = len(sites)
     if not all(3 < k * k < n for k in COMPARE_K):

@@ -37,7 +37,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import blas, block_diag, lapack, solve_triangular
+from scipy.linalg import blas, block_diag, lapack
 from scipy.spatial.distance import cdist, pdist
 
 from .basis import KnotGrid, design_matrix, difference_penalty
@@ -204,21 +204,28 @@ class FitConfig:
 
 class _LikelihoodState:
     """Gaussian log-likelihood of demeaned replicate columns ``zc`` under
-    one covariance matrix ``c``, factored once by ``factor_covariance``.
+    one covariance matrix ``c``.
 
     A state built by ``at`` is a unit-sill one, C = R_phi + g I at the
     coordinates y = W z of the stacked coefficients z.  It also gives the
     log-likelihood of sigma2 C maximized over sigma2, that profiled
     log-likelihood's gradient in x = (z, g), and the information of x.
-    A value forms L and L^-1 Z.  The gradient and the information share
-    ``cinv`` and ``kernel``, formed on first use; a gradient adds C^-1 Z
-    and a copy of C^-1's triangle, an information R_k and R_k C^-1.
+    The state forms once what these share: the log-determinant from
+    ``factor_covariance``'s L, C^-1 = L^-T L^-1 over L in place
+    (``invert_lower``, then LAPACK lauum) in ``cinv``'s lower triangle,
+    V = C^-1 Z and the quadratic form tr(Z' V).  The gradient and the
+    information share ``kernel``, formed on first use; a gradient adds a
+    copy of C^-1's triangle, an information R_k and R_k C^-1, and mirrors
+    C^-1 into ``cinv``'s upper triangle, which held C's until then.
     """
 
     def __init__(self, zc, c, w=None, y=None, d=None, phi=None):
         self.zc, self.c, self.w, self.y, self.d, self.phi = zc, c, w, y, d, phi
-        self.lower = factor_covariance(c)[0]
-        self.logdet = 2.0 * float(np.sum(np.log(np.diag(self.lower))))
+        lower = factor_covariance(c)[0]
+        self.logdet = 2.0 * float(np.sum(np.log(np.diag(lower))))
+        self.cinv = lapack.dlauum(invert_lower(lower), lower=1, overwrite_c=1)[0]
+        self.v = blas.dsymm(1.0, self.cinv, zc, lower=1)
+        self.quad = float(np.sum(zc * self.v))
 
     @classmethod
     def at(cls, zc, w, z, g: float, phi: float) -> "_LikelihoodState":
@@ -228,33 +235,22 @@ class _LikelihoodState:
         c[np.diag_indices_from(c)] += g
         return cls(zc, c, w, y, d, phi)
 
-    @functools.cached_property
-    def _quad(self) -> float:
-        white = solve_triangular(self.lower, self.zc, lower=True, check_finite=False)
-        return float(np.sum(white * white))
-
     @property
     def value(self) -> float:
         n, t = self.zc.shape
-        return -0.5 * (n * t * np.log(2.0 * np.pi) + t * self.logdet + self._quad)
+        return -0.5 * (n * t * np.log(2.0 * np.pi) + t * self.logdet + self.quad)
 
     @property
     def sill(self) -> float:
         """The sigma2 that maximizes the likelihood of sigma2 C, in closed
         form tr(Z' C^-1 Z) / (n T)."""
-        return self._quad / self.zc.size
+        return self.quad / self.zc.size
 
     @property
     def profiled_value(self) -> float:
         """The log-likelihood of sigma2 C at sigma2 = ``sill``."""
         n, t = self.zc.shape
         return -0.5 * (n * t * (np.log(2.0 * np.pi * self.sill) + 1.0) + t * self.logdet)
-
-    @functools.cached_property
-    def cinv(self) -> np.ndarray:
-        """C^-1 = L^-T L^-1 (LAPACK lauum) in the lower triangle; the upper
-        one holds C's until ``information`` mirrors the lower one there."""
-        return lapack.dlauum(invert_lower(self.lower.copy("F")), lower=1, overwrite_c=1)[0]
 
     @functools.cached_property
     def kernel(self) -> np.ndarray:
@@ -275,9 +271,7 @@ class _LikelihoodState:
         phi) off the diagonal and D_ij = |y_i - y_j|: dl/dy_i is sum_j A_ij
         (y_i - y_j), A = (V V' / sigma2 - T C^-1) o (G + G') (lower half).
         """
-        t, y = self.zc.shape[1], self.y
-        v = blas.dsymm(1.0, self.cinv, self.zc, lower=1)
-        s2 = float(np.sum(self.zc * v)) / self.zc.size
+        t, y, v, s2 = self.zc.shape[1], self.y, self.v, self.sill
         ratio = blas.dsyrk(1.0 / s2, v, beta=-t, c=self.cinv.copy("F"), lower=1, overwrite_c=1)
         ratio *= self.kernel  # the entries on and above the diagonal meet its zeros
         grad_y = (ratio.sum(axis=1) + ratio.sum(axis=0))[:, None] * y - ratio @ y - ratio.T @ y
@@ -395,13 +389,11 @@ class CoefObjective:
     """Negative penalized profiled log-likelihood over x = (z, g), the
     stacked coefficients and the nugget-to-sill ratio.
 
-    ``f(x, phi, lam, want_grad=True) -> (value, gradient)`` is
-    ``-l(x) + lam / 2 * penalty(z)``, where l is the profiled
-    log-likelihood of the state at x and range phi.  With
-    ``want_grad=False`` the gradient is None and the value costs one
-    factorization and one triangular solve.  Non-positive-definite
-    covariances give 1e300.  The state of the last point is kept, so the
-    gradient or information asked for there reuses its factorization.
+    ``f(x, phi, lam) -> (value, gradient)`` is ``-l(x) + lam / 2 *
+    penalty(z)``, where l is the profiled log-likelihood of the state at
+    x and range phi.  Non-positive-definite covariances give 1e300 and a
+    zero gradient.  The state of the last point is kept, so the
+    information asked for there reuses its C^-1.
     """
 
     def __init__(self, dataset: Dataset, grid: KnotGrid):
@@ -419,15 +411,13 @@ class CoefObjective:
             self._key = key
         return self._state
 
-    def __call__(self, x: np.ndarray, phi: float, lam: float, want_grad: bool = True):
+    def __call__(self, x: np.ndarray, phi: float, lam: float):
         try:
             state = self.state(x, phi)
         except NumericalError:
-            return 1e300, (np.zeros(x.size) if want_grad else None)
+            return 1e300, np.zeros(x.size)
         pen = self.penalty.value_and_grad(x[:-1]) if lam > 0 else (0.0, 0.0)
         f = -state.profiled_value + 0.5 * lam * pen[0]
-        if not want_grad:
-            return f, None
         grad = -state.profiled_grad
         grad[:-1] += 0.5 * lam * pen[1]
         return f, grad
@@ -565,10 +555,10 @@ def refine_coords_ml(
         out[:-1, -1] = -x[:-2]
         return x[:-1], phi0 * np.exp(x[-1]), out
 
-    def fun(x, want_grad):
+    def fun(x):
         point, phi, tangent = chart(x)
-        f, grad = objective(point, phi, lam, want_grad)
-        return f, (None if grad is None else grad @ tangent)
+        f, grad = objective(point, phi, lam)
+        return f, grad @ tangent
 
     def metric(x):
         point, phi, tangent = chart(x)

@@ -296,8 +296,8 @@ def _interior_point(grid: KnotGrid, fun, hess, x0, epsilon, max_iter, rate=0.0,
     """Primal-dual interior-point Newton method under the non-folding rows.
 
     Minimizes f over x (its first 2 K1 K2 entries the coefficients z)
-    from the strictly interior ``x0``; ``fun(x, want_grad)`` gives f and
-    its gradient, ``hess(x)`` a model of its Hessian.  The rows kept
+    from the strictly interior ``x0``; ``fun(x)`` gives f and its
+    gradient, ``hess(x)`` a model of its Hessian.  The rows kept
     positive are |J|(z) - epsilon - rate z'Qz, Q = I2 kron ``spread``, and
     A x - b, ``rows`` = (A, b); ``gauge`` x = ``gauge`` x0 is eliminated.
     Newton steps on the merit f - mu sum log s + mu n_J log z'Qz + mu/2
@@ -306,9 +306,11 @@ def _interior_point(grid: KnotGrid, fun, hess, x0, epsilon, max_iter, rate=0.0,
     moves, and F = ``flat`` holds the directions on which f is flat) use
     the model less the dual-weighted row Hessians plus J' diag(lam / s)
     J, take the exact fraction-to-boundary length (slacks are quadratic
-    along a step), widened by a second-order correction, and backtrack.
-    BFGS updates the model; it is asked for again after a step that gains
-    under a quarter of its prediction or curves under a fifth as much.
+    along a step), widened by a second-order correction, and backtrack;
+    the accepted trial's f and gradient are kept, so ``fun`` sees each
+    point once.  BFGS updates the model; it is asked for again after a
+    step that gains under a quarter of its prediction or curves under a
+    fifth as much.
     mu starts at BARRIER_DECREASE of the predicted gain g'H^-1 g / 2 per
     row and falls by that factor whenever the Newton decrement drops
     below it; no multiplier starts above the one that balances the
@@ -356,7 +358,7 @@ def _interior_point(grid: KnotGrid, fun, hess, x0, epsilon, max_iter, rate=0.0,
         log_spread = n_corner * np.log(x[:2 * m] @ q @ x[:2 * m]) if rate else 0.0
         return f + mu * (log_spread - np.sum(np.log(s)) + 0.5 * (x - x0) @ flat @ (x - x0))
 
-    x, (f, grad) = x0, fun(x0, True)
+    x, (f, grad) = x0, fun(x0)
     f0, model, r0 = f, hess(x0), reduce(grad)
     # at most |f(x0)|: near a flat direction of the model it can be absurd
     gain = min(0.5 * float(r0 @ cho_solve(_shifted_cholesky(reduce(model)), r0)), abs(f0))
@@ -406,19 +408,21 @@ def _interior_point(grid: KnotGrid, fun, hess, x0, epsilon, max_iter, rate=0.0,
                 dx, alpha, decrement = dx2, alpha2, -float(r @ du2)
         start = merit(x, f, s)
         while alpha >= 1e-12:
-            trial_s = slacks(x + alpha * dx, want_jac=False)
-            if (trial_s.min() > 0 and merit(x + alpha * dx, fun(x + alpha * dx, False)[0],
-                                            trial_s) <= start - 1e-4 * alpha * decrement):
-                break
+            step = alpha * dx
+            trial_s = slacks(x + step, want_jac=False)
+            if trial_s.min() > 0:
+                trial = fun(x + step)
+                if merit(x + step, trial[0], trial_s) <= start - 1e-4 * alpha * decrement:
+                    break
             alpha *= 0.5
         if alpha < 1e-12:
             failure = f"line search failed after {it} iterations"
             break
         dlam = mu / s - lam - (lam / s) * (jac @ dx)
         dual_step = _boundary_step(lam, dlam, 0.0)
-        step, old_grad, old_f = alpha * dx, grad, f
+        old_grad, old_f = grad, f
         x = x + step
-        f, grad = fun(x, True)
+        f, grad = trial
         change, hs = grad - old_grad, model @ step
         shs, sy = float(step @ hs), float(step @ change)
         if sy < 0.2 * shs or f - old_f > 0.25 * (old_grad @ step + 0.5 * shs) < 0.0:
@@ -469,8 +473,7 @@ def fit_bspline_constrained(
     # the squared residual z'Hz / 2 - c'z + |targets|^2, with H = 2 W'W
     hess, c = scipy.linalg.block_diag(2.0 * gmat, 2.0 * gmat), 2.0 * cvec.T.ravel()
     z, failure = _interior_point(
-        grid, lambda z, want: (0.5 * z @ hess @ z - c @ z + float(np.sum(targets**2)),
-                               hess @ z - c if want else None),
+        grid, lambda z: (0.5 * z @ hess @ z - c @ z + float(np.sum(targets**2)), hess @ z - c),
         lambda z: hess, z0, epsilon, max_iter)
     if failure is not None:
         warnings.warn(f"constrained fit: {failure}; returning the last iterate",

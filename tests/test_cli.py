@@ -6,12 +6,18 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spatdeform import modelio
 from spatdeform.cli import main
+from spatdeform.covariance import CovParams
 from spatdeform.deformation import default_epsilon, min_jacobian
+from spatdeform.errors import FitError
+from spatdeform.estimation import FitConfig
+from spatdeform.fields import Swirl, simulate_grf
+
+from test_fit_properties import draw_sites
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +137,103 @@ class TestEstimate:
         err = capsys.readouterr().err
         assert rc == 2
         assert "data error" in err and "distinct" in err and "Traceback" not in err
+
+
+class TestFitSettings:
+    # estimate and compare hand fit FitConfig's own default for each fit
+    # setting the user leaves out, and the user's value for the others
+    @pytest.fixture
+    def handed(self, monkeypatch):
+        import spatdeform.cli as cli
+
+        configs = []
+
+        def recording_fit(dataset, config):
+            configs.append(config)
+            raise FitError("recorded")
+
+        monkeypatch.setattr(cli, "fit", recording_fit)
+        return configs
+
+    @pytest.mark.parametrize("flags, given", [
+        ([], {}), (["--tol=1e-3"], {"tol": 1e-3}), (["--epsilon=0.01"], {"epsilon": 0.01}),
+        (["--epsilon=0.01", "--tol=0"], {"epsilon": 0.01, "tol": 0.0}),
+    ])
+    def test_estimate(self, workdir, simulated, handed, flags, given):
+        rc = main(["estimate", "--data", str(simulated / "data.csv"), "--k", "3",
+                   "--out", str(workdir / "handed.json")] + flags)
+        assert rc == 3
+        assert handed == [FitConfig(3, 3, **given)]
+
+    @pytest.mark.parametrize("keys, given", [
+        ("", {}), ("tol = 1e-3\n", {"tol": 1e-3}), ("epsilon = 0.01\n", {"epsilon": 0.01}),
+        ("max_outer = 3\n", {"max_outer": 3}),
+        ("tol = 0\nepsilon = 0.01\nmax_outer = 3\n", {"tol": 0.0, "epsilon": 0.01, "max_outer": 3}),
+    ])
+    def test_compare(self, tmp_path, handed, keys, given):
+        cfg = tmp_path / "cmp.cfg"
+        cfg.write_text("grid_n = 9\nT = 10\n" + keys)
+        rc = main(["compare", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 3
+        assert handed == [FitConfig(4, 4, **given)]
+
+
+# each fit setting as (value or None when absent, whether FitConfig accepts
+# it); a setting is absent or valid in two draws of three, so that some runs
+# reach the fit
+def fit_setting(valid, zero_is_valid, large=None):
+    kinds = {"absent": st.just((None, True)), "valid": valid.map(lambda v: (v, True)),
+             "zero": st.just((0.0, zero_is_valid)), "nan": st.just((float("nan"), False)),
+             "negative": st.floats(-1.0, -1e-12).map(lambda v: (v, False))}
+    if large is not None:
+        kinds["large"] = large.map(lambda v: (v, True))
+    weighted = ["absent", "valid"] * (len(kinds) - 2) + list(kinds)[2:]
+    return st.sampled_from(weighted).flatmap(kinds.get)
+
+
+EPSILONS = fit_setting(st.floats(1e-4, 0.5), False, large=st.floats(1.0, 10.0))
+TOLS = fit_setting(st.floats(1e-9, 1e-2), True)
+
+
+class TestEstimateExitCodes:
+    # small odd networks and any fit settings: every run ends in exit 0, 2,
+    # 3 or 4 without a traceback; a setting out of range is a data error
+    # before the data is read, and a model written is one that does not
+    # fold below the margin in effect
+    @pytest.mark.filterwarnings("default:likelihood ascent:RuntimeWarning")
+    @settings(max_examples=20)
+    @example(kind="uniform", n=20, t=15, grf=True, seed=1, k=3, epsilon=(None, True),
+             tol=(None, True))
+    @example(kind="clustered", n=12, t=8, grf=False, seed=2, k=2, epsilon=(1.0, True),
+             tol=(0.0, True))
+    @given(kind=st.sampled_from(["uniform", "clustered", "near-collinear"]),
+           n=st.integers(3, 25), t=st.integers(2, 20), grf=st.booleans(),
+           seed=st.integers(0, 2**32 - 1), k=st.sampled_from([2, 3, 4, 1]),
+           epsilon=EPSILONS, tol=TOLS)
+    def test_any_network_and_settings(self, workdir, kind, n, t, grf, seed, k, epsilon, tol):
+        rng = np.random.default_rng(seed)
+        sites = draw_sites(kind, n, rng)
+        if grf:
+            z = simulate_grf(sites, Swirl(), CovParams(1.0, 0.25, 1.0), t=t, seed=seed)
+        else:
+            z = rng.standard_normal((n, t))
+        data, out = workdir / "any_network.csv", workdir / "any_network.json"
+        out.unlink(missing_ok=True)
+        modelio.write_long_csv(data, sites, [f"s{i:02d}" for i in range(n)],
+                               [f"t{j:02d}" for j in range(t)], z)
+        flags = [f"--{name}={value}" for name, (value, _) in
+                 (("epsilon", epsilon), ("tol", tol)) if value is not None]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(["estimate", "--data", str(data), f"--k={k}", "--out", str(out)] + flags)
+        assert rc in (0, 2, 3, 4)
+        assert "Traceback" not in err.getvalue()
+        if not (k >= 2 and epsilon[1] and tol[1]):
+            assert rc == 2
+        if rc == 0:
+            model = modelio.load_model(out)
+            margin = epsilon[0] if epsilon[0] is not None else default_epsilon(model.grid)
+            assert min_jacobian(model.mapping()) >= margin
 
 
 class TestBadSettings:

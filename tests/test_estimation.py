@@ -7,13 +7,20 @@ from scipy.linalg import blas, cho_factor, cho_solve, lapack, solve_triangular
 from scipy.spatial.distance import cdist
 
 from spatdeform.basis import KnotGrid, design_matrix
-from spatdeform.covariance import INVERSE_BLOCK, CovParams, covariance_matrix, invert_lower
+from spatdeform.covariance import (
+    INVERSE_BLOCK,
+    CovParams,
+    covariance_matrix,
+    factor_covariance,
+    invert_lower,
+)
 from spatdeform.deformation import (
     CoefPair,
     DeformationMap,
     coef_to_vec,
     corner_values,
     default_epsilon,
+    eval_map_points,
     identity_coef,
     min_jacobian,
     transform_coef,
@@ -297,7 +304,7 @@ class TestProfiledCovStep:
             return real_factor(c)
 
         def recording_solver(grid, fun, hess, x0, *args, **kwargs):
-            calls.append((fun(x0, True)[1].shape, hess(x0).shape))
+            calls.append((fun(x0)[1].shape, hess(x0).shape))
             return real_solver(grid, fun, hess, x0, *args, **kwargs)
 
         monkeypatch.setattr(est, "factor_covariance", recording_factor)
@@ -422,13 +429,13 @@ def colocated_problem():
 
 def reference_negloglik_and_grad(ds, phi, grid, solves=False):
     """The unpenalized negative profiled log-likelihood over x = (z, g) at
-    range ``phi``, and its gradient, written out plainly.  The value takes
-    sigma2 from one triangular solve, as the package does.  For the
-    gradient, with ``solves``, C^-1 Z and C^-1 come from Cholesky solves
-    and the full n x n derivative kernel; otherwise they come in the
-    package's kernel order: the lower triangle of C^-1 from the shared
-    triangular inverse and LAPACK lauum, C^-1 Z from BLAS symm, and the
-    strictly lower triangle of the kernel from BLAS syrk."""
+    range ``phi``, and its gradient, written out plainly.  With ``solves``
+    the value takes sigma2 from one triangular solve, and C^-1 Z and C^-1
+    come from Cholesky solves and the full n x n derivative kernel;
+    otherwise they come in the package's order: the lower triangle of
+    C^-1 from the shared triangular inverse and LAPACK lauum, C^-1 Z from
+    BLAS symm, which also gives the value's sigma2, and the strictly lower
+    triangle of the kernel from BLAS syrk."""
     zc = ds.demeaned()
     n, t = zc.shape
     w = design_matrix(grid, ds.sites).toarray()
@@ -458,6 +465,7 @@ def reference_negloglik_and_grad(ds, phi, grid, solves=False):
             cinv = lapack.dlauum(invert_lower(factor[0].copy(order="F")), lower=1)[0]
             cinv_z = blas.dsymm(1.0, cinv, zc, lower=1)
             s2 = float(np.sum(zc * cinv_z)) / (n * t)
+            ll = -0.5 * (n * t * (np.log(2.0 * np.pi * s2) + 1.0) + t * logdet)
             kernel = np.tril(np.divide(corr, d, out=np.zeros_like(d), where=d > 0), -1)
             kernel *= -1.0 / phi
             ratio = blas.dsyrk(1.0 / s2, cinv_z, beta=-t, c=cinv, lower=1)
@@ -527,8 +535,7 @@ class TestSmoothnessPenalty:
     def test_zero_weight_is_the_unpenalized_objective(self, swirl_problem, colocated_problem):
         # refine_coords_ml's interior-point ascent runs on this objective:
         # at lam=0 the value and the gradient are the plain profiled
-        # likelihood's bit for bit, on the value-only path its backtracking
-        # line search uses too, and the solve-based gradient agrees to rounding
+        # likelihood's bit for bit, and the solve-based ones agree to rounding
         rng = np.random.default_rng(23)
         for ds, cov, grid in (swirl_problem, colocated_problem):
             reference = reference_negloglik_and_grad(ds, cov.phi, grid)
@@ -540,9 +547,6 @@ class TestSmoothnessPenalty:
                 f, g = objective(x, cov.phi, 0.0)
                 assert f == f_ref
                 assert np.array_equal(g, g_ref)
-                f_value, g_value = objective(x, cov.phi, 0.0, want_grad=False)
-                assert g_value is None
-                assert f_value == f
                 f_sol, g_sol = by_solves(x)
                 assert_allclose(f, f_sol, rtol=1e-13)
                 assert_allclose(g, g_sol, rtol=0, atol=1e-10 * np.abs(g_sol).max())
@@ -573,18 +577,18 @@ def test_shared_inverse_matches_lapack(n, ill):
     else:
         c = covariance_matrix(rng.uniform(size=(n, 2)), IdentityMap(), CovParams(1.0, 0.3, 0.2))
     state = _LikelihoodState(np.zeros((n, 2)), c)
-    low = np.tril(state.lower)
-    inv = np.tril(invert_lower(state.lower.copy(order="F")))
+    lower = factor_covariance(c)[0]
+    low = np.tril(lower)
+    inv = np.tril(invert_lower(lower.copy(order="F")))
     assert_allclose(low @ inv, np.eye(n), rtol=0, atol=1e-12)
-    potri = np.tril(lapack.dpotri(state.lower, lower=1)[0])
+    potri = np.tril(lapack.dpotri(lower, lower=1)[0])
     bound = 1e-13 * np.linalg.cond(c) * np.abs(potri).max()
     assert np.abs(np.tril(state.cinv) - potri).max() <= bound
 
 
 def test_each_state_is_factored_once(swirl_problem, monkeypatch):
     # the ascent's start value and its metric share one factorization, and
-    # so does each interior-point gradient with the trial value at the same
-    # point before it
+    # each interior-point step's value, gradient and metric share another
     import spatdeform.estimation as est
 
     real_factor = est.factor_covariance
@@ -599,6 +603,47 @@ def test_each_state_is_factored_once(swirl_problem, monkeypatch):
     ascend(ds, cov, grid, identity_coef(grid), epsilon=1e-3)
     assert len(factored) > 10
     assert not any(np.array_equal(a, b) for a, b in zip(factored, factored[1:]))
+
+
+def test_each_point_is_evaluated_once(swirl_problem, monkeypatch):
+    # the interior-point line search keeps the accepted trial's value and
+    # gradient, so neither of its callers is asked for a point twice: the
+    # likelihood ascent nor the least squares on folded targets, whose
+    # corner rows are active at the solution
+    import spatdeform.smoothers as smoothers
+
+    real_call, real_solver = CoefObjective.__call__, smoothers._interior_point
+    seen = []
+
+    def recording_call(self, x, phi, *args):
+        seen.append((np.asarray(x, dtype=float).tobytes(), phi))
+        return real_call(self, x, phi, *args)
+
+    monkeypatch.setattr(CoefObjective, "__call__", recording_call)
+    ds, cov, grid = swirl_problem
+    ascend(ds, cov, grid, identity_coef(grid), epsilon=1e-3)
+    assert len(seen) > 10 and len(seen) - len(set(seen)) == 0
+
+    def recording_solver(grid, fun, *args, **kwargs):
+        def recorded(z, *more):
+            seen.append(z.tobytes())
+            return fun(z, *more)
+
+        return real_solver(grid, recorded, *args, **kwargs)
+
+    seen.clear()
+    monkeypatch.setattr(smoothers, "_interior_point", recording_solver)
+    # criterion 3's folded map, sampled on a 9 x 9 grid
+    grid = KnotGrid(0.0, 1.0, 0.0, 1.0, 4, 4)
+    t1 = identity_coef(grid).theta1.copy()
+    t1[1, 1] = t1[2, 1] + 0.15
+    t1[2, 2] = t1[1, 2] - 0.1
+    folded = DeformationMap(grid, CoefPair(t1, identity_coef(grid).theta2))
+    sites = grid_sites(9)
+    coef = smoothers.fit_bspline_constrained(grid, sites, eval_map_points(folded, sites),
+                                             epsilon=1e-3)
+    assert corner_values(grid, coef).min() <= 1.01e-3
+    assert len(seen) > 10 and len(seen) - len(set(seen)) == 0
 
 
 def test_no_pass_refactors_a_rescaled_covariance(stationary_dataset, monkeypatch):

@@ -64,13 +64,13 @@ def test_both_callers_end_strictly_feasible_and_no_worse(problem):
     cov = CovParams(1.0, 0.2, 0.5)
     start = identity_coef(grid)
     x0 = np.append(coef_to_vec(start), cov.nugget / cov.sigma2)
-    f0 = objective(x0, cov.phi, 0.0, want_grad=False)[0]
+    f0 = objective(x0, cov.phi, 0.0)[0]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         coef, fitted, x = refine_coords_ml(objective, cov, grid, start, eps)
     assert all(str(c.message).startswith("likelihood ascent") for c in caught)
     assert np.array_equal(x, np.append(coef_to_vec(coef), x[-1]))
-    assert objective(x, fitted.phi, 0.0, want_grad=False)[0] <= f0
+    assert objective(x, fitted.phi, 0.0)[0] <= f0
     penalty = objective.penalty
     zz = coef_to_vec(coef).reshape(2, -1).T
     spread = float(np.sum((penalty.wc @ zz) ** 2))
