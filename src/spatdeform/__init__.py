@@ -33,7 +33,6 @@ from .estimation import (
     DeformModel,
     FitConfig,
     fit,
-    loglik,
     normalize_gauge,
 )
 from .fields import KrigingSystem, Swirl, simulate_grf

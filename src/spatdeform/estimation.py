@@ -31,7 +31,6 @@ the generalized Fellner-Schall update (Wood & Fasiolo 2017).
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import warnings
 from dataclasses import dataclass, field
@@ -44,7 +43,6 @@ from .basis import KnotGrid, design_matrix, difference_penalty
 from .covariance import (
     CovParams,
     DispersionMatrix,
-    covariance_matrix,
     distinct_distances,
     exp_covariance,
     factor_covariance,
@@ -81,8 +79,6 @@ __all__ = [
     "SmoothnessPenalty",
     "CoefObjective",
     "difference_penalty",
-    "replicate_loglik",
-    "loglik",
     "refine_coords_ml",
     "normalize_gauge",
     "fit",
@@ -149,7 +145,7 @@ class FitDiagnostics:
     margins: list[float] = field(default_factory=list)
     iterations: int = 0
     converged: bool = False
-    # each optimizer warning raised inside fit, as "pass N: <message>"
+    # each likelihood ascent that stopped short, as "pass N: <message>"
     messages: list[str] = field(default_factory=list)
     # smoothness-penalty weight used in each outer iteration, and the
     # effective degrees of freedom tr((I + lam S)^+ I) of the returned fit
@@ -204,10 +200,10 @@ class FitConfig:
 
 class _LikelihoodState:
     """Gaussian log-likelihood of demeaned replicate columns ``zc`` under
-    one covariance matrix ``c``.
+    sigma2 times one covariance matrix ``c``, with sigma2 profiled out.
 
     A state built by ``at`` is a unit-sill one, C = R_phi + g I at the
-    coordinates y = W z of the stacked coefficients z.  It also gives the
+    coordinates y = W z of the stacked coefficients z.  It gives the
     log-likelihood of sigma2 C maximized over sigma2, that profiled
     log-likelihood's gradient in x = (z, g), and the information of x.
     The state forms once what these share: the log-determinant from
@@ -234,11 +230,6 @@ class _LikelihoodState:
         c = exp_covariance(d.copy(), CovParams(1.0, phi))  # the kernel reads d
         c[np.diag_indices_from(c)] += g
         return cls(zc, c, w, y, d, phi)
-
-    @property
-    def value(self) -> float:
-        n, t = self.zc.shape
-        return -0.5 * (n * t * np.log(2.0 * np.pi) + t * self.logdet + self.quad)
 
     @property
     def sill(self) -> float:
@@ -315,23 +306,6 @@ class _LikelihoodState:
                                + [[np.trace(cinv)]])
         t = self.zc.shape[1]
         return 0.5 * t * info, np.sqrt(0.5 * t / len(y)) * trace
-
-
-def replicate_loglik(replicates, cov_matrix) -> float:
-    """Zero-mean Gaussian log-likelihood of i.i.d. replicate columns.
-
-    Per-site sample means are removed first (the model mean is profiled
-    out), so the quadratic form uses the (T-1)/T-scaled sample
-    covariance.  Computed through one Cholesky factorization.
-    """
-    z = np.atleast_2d(np.asarray(replicates, dtype=float))
-    return _LikelihoodState(z - z.mean(axis=1, keepdims=True), cov_matrix).value
-
-
-def loglik(dataset: Dataset, mapping, cov: CovParams) -> float:
-    """Replicate log-likelihood of a dataset under a deformation model."""
-    c = covariance_matrix(dataset.sites, mapping, cov)
-    return replicate_loglik(dataset.replicates, c)
 
 
 # the likelihood ascent holds the nugget-to-sill ratio g within [0, G_MAX]
@@ -516,36 +490,30 @@ RANGE_REACH = 1e6
 ASCENT_MAX_ITER = 200
 
 
-def refine_coords_ml(
-    objective: CoefObjective,
-    cov: CovParams,
-    grid: KnotGrid,
-    coef: CoefPair,
-    epsilon: float,
-    lam: float = 0.0,
-) -> tuple[CoefPair, CovParams, np.ndarray]:
+def refine_coords_ml(objective: CoefObjective, grid: KnotGrid, x: np.ndarray, phi: float,
+                     epsilon: float, lam: float = 0.0) -> tuple[np.ndarray, float, str | None]:
     """Ascend the penalized replicate likelihood over the coefficients,
     the nugget-to-sill ratio and the range.
 
     The covariance is sigma2 (R_phi + g I), sigma2 profiled out.
     ``smoothers._interior_point`` maximizes ``l - lam / 2 * penalty``
-    over (z, g, log phi) from ``coef`` and ``cov`` (g at least G_START)
+    over (z, g, log phi) from x = (z, g) (g at least G_START) and ``phi``
     on the model I - u u' + lam M(z) (sigma2 profiled out of the
     information), under the margin |J| - epsilon spread / q0 >= 0 of the
     returned model's gauge (q0 the sites' spread), 0 <= g <= G_MAX, phi
     within a factor RANGE_REACH of its start, and four gauge rows held
     at the start: the fitted centroid and the antisymmetric part and
-    trace of sum (y_i - ybar)(s_i - sbar)'.  Returns feasible
-    coefficients no worse than the start, in its chart, the covariance
-    (sigma2, phi, g sigma2) and the exact point x = (z, g), whose state
-    at phi is the last of ``objective``; warns when the solver stops short.
+    trace of sum (y_i - ybar)(s_i - sbar)'.  Returns the point x = (z,
+    g) and the range phi, feasible and no worse than the start, in its
+    chart, and the solver's message when it stopped short of its
+    stopping test (None when it met it).  It issues no warning.
     """
-    phi0, penalty, wc = cov.phi, objective.penalty, objective.penalty.wc
-    x0 = np.append(coef_to_vec(coef), [max(cov.nugget / cov.sigma2, G_START), 0.0])
+    phi0, penalty, wc = phi, objective.penalty, objective.penalty.wc
+    x0 = np.append(x[:-1], [max(x[-1], G_START), 0.0])
     start = objective.state(x0[:-1], phi0)
     # every correlation below rounding: keep the start of a flat likelihood
     if lam == 0 and np.tril(start.c, -1).max(initial=0.0) <= np.finfo(float).eps:
-        return coef, CovParams(start.sill, phi0, float(x0[-2] * start.sill)), x0[:-1]
+        return x0[:-1], phi0, None
     roughness = np.kron(np.eye(2), penalty.s)
 
     def chart(x):
@@ -584,13 +552,8 @@ def refine_coords_ml(
     x, failure = _interior_point(
         grid, fun, metric, x0, 0.0, ASCENT_MAX_ITER, rate=epsilon / penalty.q0, spread=wc.T @ wc,
         rows=(box, bounds), gauge=gauge, flat=flat)
-    if failure is not None:
-        warnings.warn(f"likelihood ascent did not succeed: {failure}; "
-                      "returning the best feasible iterate", RuntimeWarning, stacklevel=2)
     point, phi, _ = chart(x)
-    sill = objective.state(point, phi).sill
-    return (vec_to_coef(grid, point[:-1]),
-            CovParams(float(sill), float(phi), float(point[-1] * sill)), point)
+    return point, float(phi), failure
 
 
 def normalize_gauge(dmap: DeformationMap, sites) -> tuple[DeformationMap, ProcrustesTransform]:
@@ -646,11 +609,10 @@ def _initial_cov(dataset: Dataset, dispersions: DispersionMatrix) -> CovParams:
 MARGIN_HEADROOM = 1.0 + 1e-9
 
 
-def _returned_model(grid: KnotGrid, coef: CoefPair, cov: CovParams, mean: float,
-                    diag: FitDiagnostics, epsilon: float, sites: np.ndarray,
-                    index: int) -> DeformModel:
-    """The model of the iterate of outer pass ``index + 1``, the one place
-    where a fitted map gets its gauge.
+def _returned_model(grid: KnotGrid, objective: CoefObjective, x: np.ndarray, phi: float,
+                    mean: float, diag: FitDiagnostics, epsilon: float, index: int) -> DeformModel:
+    """The model of pass ``index + 1``'s point x = (z, g) and range: the
+    map of z and sigma2 (R_phi + g I), with sigma2 their state's sill.
 
     ``normalize_gauge`` shrinks the ascent's chart (whose spread is at
     least the sites') to the sites' centroid and spread, with the range
@@ -659,8 +621,9 @@ def _returned_model(grid: KnotGrid, coef: CoefPair, cov: CovParams, mean: float,
     sqrt(epsilon / min |J|) about the sites' centroid, with the range
     co-scaled.  Its margin replaces entry ``index`` of ``diag.margins``.
     """
-    dmap, gauge = normalize_gauge(DeformationMap(grid, coef), sites)
-    coef, cov = dmap.coef, CovParams(cov.sigma2, cov.phi * gauge.scale, cov.nugget)
+    sites, sill = objective.sites, float(objective.state(x, phi).sill)
+    dmap, gauge = normalize_gauge(DeformationMap(grid, vec_to_coef(grid, x[:-1])), sites)
+    coef, cov = dmap.coef, CovParams(sill, phi * gauge.scale, float(x[-1] * sill))
     low = float(corner_values(grid, coef).min())
     if low < epsilon:
         scale = float(np.sqrt(MARGIN_HEADROOM * epsilon / low))
@@ -671,22 +634,6 @@ def _returned_model(grid: KnotGrid, coef: CoefPair, cov: CovParams, mean: float,
     return DeformModel(grid=grid, coef=coef, cov=cov, mean=mean, diagnostics=diag)
 
 
-@contextlib.contextmanager
-def _noted_warnings(messages: list[str], label: str):
-    """Append every RuntimeWarning raised inside the block to ``messages``
-    as "<label>: <message>", then issue each warning again."""
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            yield
-    finally:
-        for w in caught:
-            if issubclass(w.category, RuntimeWarning):
-                messages.append(f"{label}: {w.message}")
-            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno,
-                                   source=w.source)
-
-
 def fit(dataset: Dataset, config: FitConfig) -> DeformModel:
     """Full alternating fit on a dataset.
 
@@ -694,25 +641,23 @@ def fit(dataset: Dataset, config: FitConfig) -> DeformModel:
     epsilon (else InfeasibilityError), and from the covariance of
     ``_initial_cov`` (a DataError when the sites have fewer than 3
     distinct distances, a FitError when its variogram fit fails).  Each
-    pass then runs the likelihood ascent from the incumbent coefficients,
-    nugget ratio and range, in the ascent's chart (the sites' centroid at
-    the origin, the map's scale held); its last state, at its exact
-    point, gives the pass's loglik, the information for the
-    Fellner-Schall update of the penalty weight (which starts at 0) and
-    the next pass's start.  The passes stop once the relative change of
-    the penalized loglik drops below ``tol`` on a pass whose ascent
-    raised no warning, or after ``max_outer``.  ``_returned_model``
-    makes the returned model, and the best model of a FitError; the
-    per-pass margins are taken in its gauge.  Each optimizer warning
-    raised inside is issued again and recorded in the diagnostics'
-    ``messages`` as "pass N: <message>".  Raises FitError carrying the
-    iteration index (and the best model so far) on failure.
+    pass then runs the likelihood ascent from the incumbent point x =
+    (z, g) and range phi, in the ascent's chart (the sites' centroid at
+    the origin, the map's scale held); the state where it ends gives the
+    pass's loglik, the information for the Fellner-Schall update of the
+    penalty weight (which starts at 0) and the next pass's start.  An
+    ascent's failure is warned once and recorded in the diagnostics'
+    ``messages`` as "pass N: <message>".  The passes stop once the
+    relative change of the penalized loglik drops below ``tol`` on a
+    pass whose ascent succeeded, or after ``max_outer``.
+    ``_returned_model`` makes the returned model, and the best model of
+    a FitError, in the gauge the per-pass margins are taken in.  Raises
+    FitError carrying the iteration index (and the best model) on failure.
     """
     grid = _grid_from_sites(dataset.sites, config.k1, config.k2)
     epsilon = config.epsilon if config.epsilon is not None else default_epsilon(grid)
-    sites = dataset.sites
     # the ascent's chart puts the sites' centroid at the origin
-    coef = transform_coef(identity_coef(grid), np.eye(2), -sites.mean(axis=0))
+    coef = transform_coef(identity_coef(grid), np.eye(2), -dataset.sites.mean(axis=0))
     if not corner_values(grid, coef).min() > epsilon:
         raise InfeasibilityError(
             f"the identity map's corner |J| = 1 does not clear the margin {epsilon}")
@@ -723,31 +668,33 @@ def fit(dataset: Dataset, config: FitConfig) -> DeformModel:
     penalty = objective.penalty
     lam = 0.0
 
-    def roughness(c):
-        return 0.5 * lam * penalty.value_and_grad(coef_to_vec(c))[0] if lam > 0 else 0.0
+    def roughness(z):
+        return 0.5 * lam * penalty.value_and_grad(z)[0] if lam > 0 else 0.0
 
-    def margin(c):
+    def margin(z):
         # min corner |J| once the fitted spread is scaled to the sites' q0
-        return float(corner_values(grid, c).min()) * penalty.q0 / penalty.spread(coef_to_vec(c))
+        return (float(corner_values(grid, vec_to_coef(grid, z)).min())
+                * penalty.q0 / penalty.spread(z))
 
     cov = _initial_cov(dataset, sample_dispersions(dataset.replicates))
-    # each ascent starts at the last one's exact (z, g, phi): z and (1, phi, g)
-    phi, g = cov.phi, cov.nugget / cov.sigma2
-    prev_pll = objective.state(np.append(coef_to_vec(coef), g), phi).profiled_value
-    # (loglik, coef, cov, pass) of the iterate with the highest penalized
+    # each ascent starts at the last one's exact point x = (z, g) and range
+    x, phi = np.append(coef_to_vec(coef), cov.nugget / cov.sigma2), cov.phi
+    prev_pll = objective.state(x, phi).profiled_value
+    # (loglik, x, phi, pass) of the iterate with the highest penalized
     # loglik, its penalty taken at the current weight
-    best: tuple[float, CoefPair, CovParams, int] | None = None
+    best: tuple[float, np.ndarray, float, int] | None = None
 
     for it in range(1, config.max_outer + 1):
-        label = f"pass {it}"
         try:
-            with _noted_warnings(diag.messages, label):
-                coef, cov, point = refine_coords_ml(objective, CovParams(1.0, phi, g), grid,
-                                                    coef, epsilon, lam=lam)
-            g, phi = float(point[-1]), cov.phi
-            state = objective.state(point, phi)
+            x, phi, failure = refine_coords_ml(objective, grid, x, phi, epsilon, lam=lam)
+            if failure is not None:
+                message = (f"likelihood ascent did not succeed: {failure}; "
+                           "returning the best feasible iterate")
+                diag.messages.append(f"pass {it}: {message}")
+                warnings.warn(message, RuntimeWarning)
+            state = objective.state(x, phi)
             ll = state.profiled_value
-            pll = ll - roughness(coef)
+            pll = ll - roughness(x[:-1])
             info = state.information[0][:-1, :-1]
         except InfeasibilityError:
             raise
@@ -755,21 +702,20 @@ def fit(dataset: Dataset, config: FitConfig) -> DeformModel:
             err = FitError(f"outer iteration {it}: {e}")
             if best is not None:
                 err.best_model = _returned_model(  # type: ignore[attr-defined]
-                    grid, best[1], best[2], mean, diag, epsilon, sites, best[3] - 1)
+                    grid, objective, best[1], best[2], mean, diag, epsilon, best[3] - 1)
             raise err from e
         diag.loglik.append(ll)
-        diag.margins.append(margin(coef))
+        diag.margins.append(margin(x[:-1]))
         diag.penalty_weights.append(lam)
         diag.iterations = it
-        next_lam, diag.effective_dof = _penalty_update(lam, info, penalty, coef_to_vec(coef))
-        if best is None or pll > best[0] - roughness(best[1]):
-            best = (ll, coef, cov, it)
-        # a pass whose ascent warned has not shown that the fit settled
-        warned = any(m.startswith(f"{label}: ") for m in diag.messages)
-        if not warned and abs(pll - prev_pll) <= config.tol * (1.0 + abs(prev_pll)):
+        next_lam, diag.effective_dof = _penalty_update(lam, info, penalty, x[:-1])
+        if best is None or pll > best[0] - roughness(best[1][:-1]):
+            best = (ll, x, phi, it)
+        # a pass whose ascent failed has not shown that the fit settled
+        if failure is None and abs(pll - prev_pll) <= config.tol * (1.0 + abs(prev_pll)):
             diag.converged = True
             break
         prev_pll = pll
         lam = next_lam
 
-    return _returned_model(grid, coef, cov, mean, diag, epsilon, sites, -1)
+    return _returned_model(grid, objective, x, phi, mean, diag, epsilon, -1)

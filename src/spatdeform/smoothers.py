@@ -33,6 +33,7 @@ from .deformation import (
     vec_to_coef,
 )
 from .errors import FitError, InfeasibilityError
+from .scaling import procrustes
 
 __all__ = [
     "TpsModel",
@@ -239,8 +240,6 @@ def _feasible_start(grid, sites, targets, epsilon) -> CoefPair:
     beta, *_ = np.linalg.lstsq(p, targets, rcond=None)
     candidates.append(affine_coef(grid, beta))
 
-    from .scaling import procrustes
-
     try:
         t = procrustes(sites, targets, scale=True, allow_reflection=False)
         beta_sim = np.vstack([t.shift, t.scale * t.rotation.T])
@@ -437,12 +436,15 @@ def _interior_point(grid: KnotGrid, fun, hess, x0, epsilon, max_iter, rate=0.0,
     return (x if f <= f0 else x0), failure
 
 
+# the constrained fit stops after this many interior-point steps
+CONSTRAINED_MAX_ITER = 300
+
+
 def fit_bspline_constrained(
     grid: KnotGrid,
     sites,
     targets,
     epsilon: float | None = None,
-    max_iter: int = 300,
 ) -> CoefPair:
     """Least-squares coefficient fit subject to non-folding constraints.
 
@@ -451,10 +453,11 @@ def fit_bspline_constrained(
     When the unconstrained optimum already satisfies the constraints it
     is returned directly.  Otherwise ``_interior_point``, with the exact
     Hessian 2 W'W, starts from the affine feasible start
-    (``_feasible_start``) and warns ("constrained fit: ...") when it stops
-    short of its stopping test.  The result is strictly feasible, its
-    objective is no higher than the feasible start's.  A rank-deficient
-    design is regularized as in ``_normal_equations``.
+    (``_feasible_start``), takes at most CONSTRAINED_MAX_ITER steps and
+    warns ("constrained fit: ...") when it stops short of its stopping
+    test.  The result is strictly feasible, its objective is no higher
+    than the feasible start's.  A rank-deficient design is regularized
+    as in ``_normal_equations``.
     """
     sites = np.asarray(sites, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -474,7 +477,7 @@ def fit_bspline_constrained(
     hess, c = scipy.linalg.block_diag(2.0 * gmat, 2.0 * gmat), 2.0 * cvec.T.ravel()
     z, failure = _interior_point(
         grid, lambda z: (0.5 * z @ hess @ z - c @ z + float(np.sum(targets**2)), hess @ z - c),
-        lambda z: hess, z0, epsilon, max_iter)
+        lambda z: hess, z0, epsilon, CONSTRAINED_MAX_ITER)
     if failure is not None:
         warnings.warn(f"constrained fit: {failure}; returning the last iterate",
                       RuntimeWarning, stacklevel=2)

@@ -4,8 +4,9 @@ package's vectorized kernels against.
 None of these is used by the package itself: the 1-d basis vectors, the
 skew-symmetric bilinear form A(x), the per-cell Jacobian, the corner
 functionals one by one, single-point map evaluation, the exponential
-correlation, the root of a pivoted Cholesky factor, a covariance step
-by finite differences, the coefficients' Fisher information at given
+correlation, the root of a pivoted Cholesky factor, the replicate
+log-likelihood through a dense Cholesky factor, a covariance step by
+finite differences, the coefficients' Fisher information at given
 coefficients, a coordinate smoother backed by the constrained B-spline
 fit, and the CSV readers record by record.
 """
@@ -18,12 +19,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sps
 from scipy.optimize import minimize
 from scipy.spatial.distance import cdist
 
 from spatdeform.basis import KnotGrid, cell_and_local
-from spatdeform.covariance import CovParams, exp_covariance
+from spatdeform.covariance import CovParams, covariance_matrix, exp_covariance
 from spatdeform.deformation import (
     CORNER_ORDER,
     CoefPair,
@@ -32,7 +34,7 @@ from spatdeform.deformation import (
     eval_map_points,
 )
 from spatdeform.errors import DataError, NumericalError
-from spatdeform.estimation import CoefObjective, Dataset, replicate_loglik
+from spatdeform.estimation import CoefObjective, Dataset
 from spatdeform.modelio import DATA_HEADER
 from spatdeform.smoothers import fit_bspline_constrained
 
@@ -196,6 +198,24 @@ def pivoted_root(low: np.ndarray, piv: np.ndarray, rank: int) -> np.ndarray:
     return root
 
 
+def replicate_loglik(replicates, cov_matrix) -> float:
+    """Sum of the zero-mean Gaussian log densities, under ``cov_matrix``,
+    of the replicate columns with the site means removed, through the
+    dense Cholesky factor of the covariance."""
+    z = np.atleast_2d(np.asarray(replicates, dtype=float))
+    zc = z - z.mean(axis=1, keepdims=True)
+    low = scipy.linalg.cholesky(cov_matrix, lower=True)
+    u = scipy.linalg.solve_triangular(low, zc, lower=True)
+    per_column = -0.5 * (len(low) * np.log(2.0 * np.pi) + 2.0 * np.sum(np.log(np.diag(low)))
+                         + np.sum(u * u, axis=0))
+    return float(np.sum(per_column))
+
+
+def loglik(dataset, mapping, cov: CovParams) -> float:
+    """``replicate_loglik`` of a dataset under a deformation and covariance."""
+    return replicate_loglik(dataset.replicates, covariance_matrix(dataset.sites, mapping, cov))
+
+
 def step_cov_fd(dataset, mapping, cov_init: CovParams) -> CovParams:
     """The covariance step searched directly over (sigma2, phi, nugget).
 
@@ -215,7 +235,7 @@ def step_cov_fd(dataset, mapping, cov_init: CovParams) -> CovParams:
             # a copy: exp_covariance writes over its distances
             c = exp_covariance(d.copy(), CovParams(*p))
             return -replicate_loglik(dataset.replicates, c)
-        except (NumericalError, ValueError):
+        except (NumericalError, ValueError):  # LinAlgError is a ValueError
             return 1e300
 
     p_init = np.clip([cov_init.sigma2, cov_init.phi, cov_init.nugget], *np.array(bounds).T)

@@ -24,6 +24,7 @@ from spatdeform.deformation import (
     identity_coef,
     min_jacobian,
     transform_coef,
+    vec_to_coef,
 )
 from spatdeform.errors import DataError, FitError, NumericalError
 from spatdeform.estimation import (
@@ -39,15 +40,19 @@ from spatdeform.estimation import (
     _penalty_update,
     difference_penalty,
     fit,
-    loglik,
     normalize_gauge,
     refine_coords_ml,
-    replicate_loglik,
 )
 from spatdeform.fields import Swirl, simulate_grf
 from spatdeform.smoothers import unconstrained_bspline_fit
 
-from oracles import IdentityMap, coef_fisher_information, step_cov_fd
+from oracles import (
+    IdentityMap,
+    coef_fisher_information,
+    loglik,
+    replicate_loglik,
+    step_cov_fd,
+)
 
 
 def grid_sites(n_side, lo=0.0, hi=1.0):
@@ -61,10 +66,23 @@ def identity_model_map(k=4):
     return DeformationMap(grid, identity_coef(grid))
 
 
+def ascent(ds, cov, grid, coef, epsilon, **kwargs):
+    """The map, covariance and failure message of one likelihood ascent
+    of ``refine_coords_ml`` on a fresh objective, from ``coef`` and
+    ``cov``."""
+    objective = CoefObjective(ds, grid)
+    x = np.append(coef_to_vec(coef), cov.nugget / cov.sigma2)
+    x, phi, failure = refine_coords_ml(objective, grid, x, cov.phi, epsilon, **kwargs)
+    sill = objective.state(x, phi).sill
+    return vec_to_coef(grid, x[:-1]), CovParams(sill, phi, x[-1] * sill), failure
+
+
 def ascend(ds, cov, grid, coef, epsilon, **kwargs):
-    """The map and covariance of one likelihood ascent of
-    ``refine_coords_ml`` on a fresh objective."""
-    return refine_coords_ml(CoefObjective(ds, grid), cov, grid, coef, epsilon, **kwargs)[:2]
+    """The map and covariance of an ``ascent`` that meets its stopping
+    test."""
+    coef, cov, failure = ascent(ds, cov, grid, coef, epsilon, **kwargs)
+    assert failure is None, failure
+    return coef, cov
 
 
 class TestDataset:
@@ -96,6 +114,10 @@ class TestDataset:
 
 
 class TestReplicateLoglik:
+    """The replicate log-likelihood: the dense reference
+    ``oracles.replicate_loglik`` against closed forms, and the package's
+    on a singular covariance."""
+
     def test_univariate_reduction(self):
         rng = np.random.default_rng(2)
         z = rng.normal(size=(1, 20))
@@ -129,17 +151,16 @@ class TestReplicateLoglik:
         )
         assert_allclose(replicate_loglik(z, c), expected, atol=1e-8)
 
-    def test_singular_covariance_raises(self):
+    def test_singular_covariance_raises(self, swirl_problem):
+        # the likelihood state raises on a singular covariance, and the
+        # ascent's objective reads a covariance that is not positive
+        # definite as 1e300 with a zero gradient
         with pytest.raises(NumericalError):
-            replicate_loglik(np.random.default_rng(5).normal(size=(3, 4)), np.ones((3, 3)))
-
-    def test_loglik_wrapper(self):
-        rng = np.random.default_rng(6)
-        ds = Dataset(grid_sites(2), rng.normal(size=(4, 6)))
-        dmap = identity_model_map()
-        cov = CovParams(1.0, 0.5, 0.1)
-        c = covariance_matrix(ds.sites, dmap, cov)
-        assert_allclose(loglik(ds, dmap, cov), replicate_loglik(ds.replicates, c))
+            _LikelihoodState(np.random.default_rng(5).normal(size=(3, 4)), np.ones((3, 3)))
+        ds, cov, grid = swirl_problem
+        x = np.append(coef_to_vec(identity_coef(grid)), -1.0)  # C = R - I, a zero diagonal
+        f, grad = CoefObjective(ds, grid)(x, cov.phi, 0.0)
+        assert f == 1e300 and not grad.any()
 
 
 class TestStepCov:
@@ -341,35 +362,44 @@ class TestRefineCoordsMl:
         assert ll_ref >= ll_start
 
     def test_warns_at_the_iteration_cap(self, problem, monkeypatch):
+        # the ascent returns the cap as its failure, and fit warns of it
         import spatdeform.estimation as est
 
         monkeypatch.setattr(est, "ASCENT_MAX_ITER", 2)
         ds, cov, grid = problem
         start = identity_coef(grid)
-        with pytest.warns(RuntimeWarning, match=r"iteration limit \(2\)"):
-            refined, refined_cov = ascend(ds, cov, grid, start, epsilon=1e-3)
+        refined, refined_cov, failure = ascent(ds, cov, grid, start, epsilon=1e-3)
+        assert failure.startswith("stopped at the iteration limit (2)")
         assert corner_values(grid, refined).min() >= 1e-3 - 1e-9
         assert (loglik(ds, DeformationMap(grid, refined), refined_cov)
                 >= loglik(ds, DeformationMap(grid, start), cov))
+        with pytest.warns(RuntimeWarning, match=r"iteration limit \(2\)"):
+            fit(ds, FitConfig(k1=4, k2=4, max_outer=1))
 
     def test_warning_carries_the_solver_message(self, problem, monkeypatch):
-        # a solve that stops short is reported in the solver's own words,
-        # and the start comes back
+        # a solve that stops short comes back, with the start, as the
+        # solver's own words and no warning; fit warns with them
+        import warnings
+
         import spatdeform.estimation as est
 
+        message = "line search failed after 7 iterations at barrier weight 0.001"
+
         def failing_solver(grid, fun, hess, x0, *args, **kwargs):
-            return x0, "line search failed after 7 iterations at barrier weight 0.001"
+            return x0, message
 
         monkeypatch.setattr(est, "_interior_point", failing_solver)
         ds, cov, grid = problem
         start = identity_coef(grid)
-        with pytest.warns(RuntimeWarning) as record:
-            refined, _ = ascend(ds, cov, grid, start, epsilon=1e-3)
-        messages = [str(w.message) for w in record]
-        assert any("likelihood ascent did not succeed: line search failed after 7 iterations"
-                   in m for m in messages), messages
-        assert not any("iteration limit" in m for m in messages), messages
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            refined, _, failure = ascent(ds, cov, grid, start, epsilon=1e-3)
+        assert failure == message
         assert np.array_equal(coef_to_vec(refined), coef_to_vec(start))
+        with pytest.warns(RuntimeWarning) as record:
+            fit(ds, FitConfig(k1=4, k2=4, max_outer=1))
+        assert [str(w.message) for w in record] == [
+            f"likelihood ascent did not succeed: {message}; returning the best feasible iterate"]
 
     def test_zero_information_returns_the_start(self, problem):
         # a range far below the site spacing underflows every off-diagonal
@@ -958,7 +988,7 @@ class TestFit:
             if len(iterates) >= 3:
                 raise NumericalError("synthetic failure")
             out = real_refine(*args, **kwargs)
-            iterates.append(out[0])
+            iterates.append(out[0])  # the pass's point x = (z, g)
             return out
 
         monkeypatch.setattr(est, "refine_coords_ml", flaky_refine)
@@ -969,10 +999,11 @@ class TestFit:
         assert len(iterates) == len(d.loglik) == 3
         assert d.penalty_weights[-1] > 0
         pen = SmoothnessPenalty.for_sites(best.grid, stationary_dataset.sites)
-        pll = [ll - 0.5 * d.penalty_weights[-1] * pen.value_and_grad(coef_to_vec(c))[0]
-               for ll, c in zip(d.loglik, iterates)]
+        pll = [ll - 0.5 * d.penalty_weights[-1] * pen.value_and_grad(x[:-1])[0]
+               for ll, x in zip(d.loglik, iterates)]
         # the passes run in the ascent's chart; the model gets the gauge
-        expected, _ = normalize_gauge(DeformationMap(best.grid, iterates[int(np.argmax(pll))]),
+        z = iterates[int(np.argmax(pll))][:-1]
+        expected, _ = normalize_gauge(DeformationMap(best.grid, vec_to_coef(best.grid, z)),
                                       stationary_dataset.sites)
         assert np.array_equal(coef_to_vec(best.coef), coef_to_vec(expected.coef))
 
@@ -1002,27 +1033,26 @@ class TestFit:
 
     def test_optimizer_warnings_are_recorded(self, stationary_dataset, monkeypatch,
                                              tmp_path):
-        # a warning of the likelihood ascent is issued again and kept in the
-        # diagnostics, which the model file carries
-        import warnings
-
+        # a failure of the likelihood ascent is warned about and kept in
+        # the diagnostics, which the model file carries
         import spatdeform.estimation as est
         from spatdeform import modelio
 
         real_refine = est.refine_coords_ml
         calls = {"n": 0}
 
-        def warning_refine(*args, **kwargs):
+        def failing_refine(*args, **kwargs):
             calls["n"] += 1
-            if calls["n"] == 2:
-                warnings.warn("likelihood ascent: synthetic stall", RuntimeWarning)
-            return real_refine(*args, **kwargs)
+            x, phi, failure = real_refine(*args, **kwargs)
+            return x, phi, "synthetic stall" if calls["n"] == 2 else failure
 
-        monkeypatch.setattr(est, "refine_coords_ml", warning_refine)
+        monkeypatch.setattr(est, "refine_coords_ml", failing_refine)
         with pytest.warns(RuntimeWarning, match="synthetic stall"):
             model = est.fit(stationary_dataset,
                             FitConfig(k1=4, k2=4, tol=0.0, max_outer=3))
-        assert "pass 2: likelihood ascent: synthetic stall" in model.diagnostics.messages
+        assert model.diagnostics.messages == [
+            "pass 2: likelihood ascent did not succeed: synthetic stall; "
+            "returning the best feasible iterate"]
         path = tmp_path / "model.json"
         modelio.save_model(model, path)
         assert modelio.load_model(path).diagnostics.messages == model.diagnostics.messages
@@ -1037,12 +1067,35 @@ class TestFit:
             return x0, "line search failed after 1 iterations at barrier weight 0.1"
 
         monkeypatch.setattr(est, "_interior_point", stalled_solver)
-        with pytest.warns(RuntimeWarning, match="line search failed"):
+        with pytest.warns(RuntimeWarning) as record:
             model = est.fit(stationary_dataset, FitConfig(k1=4, k2=4, max_outer=3))
         d = model.diagnostics
         assert d.iterations == 3
         assert not d.converged
         assert [m.split(":")[0] for m in d.messages] == ["pass 1", "pass 2", "pass 3"]
+        # each failure is warned about once, in the words it is recorded in
+        assert [w.category for w in record] == [RuntimeWarning] * 3
+        assert [str(w.message) for w in record] == [m.split(": ", 1)[1] for m in d.messages]
+
+    def test_only_a_failed_ascent_blocks_convergence(self, stationary_dataset, monkeypatch):
+        # a warning raised inside a pass whose ascent met its stopping test
+        # reaches the caller, but it is no ascent failure: it is neither
+        # recorded nor keeps the fit from converging
+        import warnings
+
+        import spatdeform.estimation as est
+
+        real_solver = est._interior_point
+
+        def noisy_solver(*args, **kwargs):
+            warnings.warn("synthetic noise", RuntimeWarning)
+            return real_solver(*args, **kwargs)
+
+        monkeypatch.setattr(est, "_interior_point", noisy_solver)
+        with pytest.warns(RuntimeWarning, match="synthetic noise"):
+            model = est.fit(stationary_dataset, FitConfig(k1=4, k2=4))
+        assert model.diagnostics.converged
+        assert model.diagnostics.messages == []
 
     def test_returned_models_meet_the_margin(self, stationary_dataset, monkeypatch):
         # a gauge that shrinks the plane 100-fold scales every corner |J|

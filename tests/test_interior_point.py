@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 
 from spatdeform.basis import KnotGrid, design_matrix
 from spatdeform.covariance import CovParams
-from spatdeform.deformation import coef_to_vec, corner_values, default_epsilon, identity_coef
+from spatdeform.deformation import (
+    coef_to_vec,
+    corner_values,
+    default_epsilon,
+    identity_coef,
+    vec_to_coef,
+)
 from spatdeform.estimation import CoefObjective, Dataset, refine_coords_ml
 from spatdeform.fields import Swirl, simulate_grf
 from spatdeform.smoothers import _feasible_start, fit_bspline_constrained
@@ -67,11 +73,12 @@ def test_both_callers_end_strictly_feasible_and_no_worse(problem):
     f0 = objective(x0, cov.phi, 0.0)[0]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        coef, fitted, x = refine_coords_ml(objective, cov, grid, start, eps)
-    assert all(str(c.message).startswith("likelihood ascent") for c in caught)
-    assert np.array_equal(x, np.append(coef_to_vec(coef), x[-1]))
-    assert objective(x, fitted.phi, 0.0)[0] <= f0
+        x, phi, failure = refine_coords_ml(objective, grid, x0, cov.phi, eps)
+    # a solve that stops short says so in its result, not as a warning
+    assert not caught
+    assert failure is None or isinstance(failure, str)
+    assert objective(x, phi, 0.0)[0] <= f0
     penalty = objective.penalty
-    zz = coef_to_vec(coef).reshape(2, -1).T
+    zz = x[:-1].reshape(2, -1).T
     spread = float(np.sum((penalty.wc @ zz) ** 2))
-    assert corner_values(grid, coef).min() * penalty.q0 / spread > eps
+    assert corner_values(grid, vec_to_coef(grid, x[:-1])).min() * penalty.q0 / spread > eps

@@ -274,15 +274,18 @@ class TestConstrainedFit:
                 assert corner_values(grid, coef).min() >= eps
                 assert float(np.sum((fitted - targets) ** 2)) <= affine_sse
 
-    def test_warns_at_the_iteration_limit(self):
+    def test_warns_at_the_iteration_limit(self, monkeypatch):
+        import spatdeform.smoothers as smoothers
+
+        monkeypatch.setattr(smoothers, "CONSTRAINED_MAX_ITER", 2)
         grid = KnotGrid(0.0, 1.0, 0.0, 1.0, 4, 4)
         folded = identity_coef(grid)
         t1 = folded.theta1.copy()
         t1[1, 1] = t1[2, 1] + 0.15
         sites = grid_sites(9)
         targets = eval_map_points(DeformationMap(grid, CoefPair(t1, folded.theta2)), sites)
-        with pytest.warns(RuntimeWarning, match="iteration limit"):
-            coef = fit_bspline_constrained(grid, sites, targets, epsilon=1e-3, max_iter=2)
+        with pytest.warns(RuntimeWarning, match=r"iteration limit \(2\)"):
+            coef = fit_bspline_constrained(grid, sites, targets, epsilon=1e-3)
         assert corner_values(grid, coef).min() >= 1e-3
 
     def test_underdetermined_fits_through_the_roughness_penalty(self):
