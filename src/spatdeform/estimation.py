@@ -6,8 +6,8 @@ distances.  One outer iteration then ascends the likelihood over the
 coefficient matrices, the nugget-to-sill ratio and the range together,
 from the incumbent ones.  Sampson & Guttorp's (1992) dispersion
 embedding is not run: its configuration could reach the passes only as
-an affine start, which the first pass and the gauge normalization reduce
-to the identity.
+an affine start, which the first pass and the returned model's similarity
+reduce to the identity.
 
 The ascent writes the covariance as sigma2 (R_phi + g I), with g the
 nugget-to-sill ratio, and profiles sigma2 out in closed form (Mardia &
@@ -18,9 +18,10 @@ the fitted centroid, rotation and scale held by four linear gauge rows.
 Its non-folding margin, its penalty and the weight update are
 scale-free, so every pass runs in the ascent's chart: the sites'
 centroid at the origin of the deformed plane, and a fitted spread of at
-least the sites'.  The model is made once, at the end: the gauge
-normalization gives the map the sites' centroid and spread, shrinking it
-and phi together.
+least the sites'.  The model is made once, at the end, by one
+similarity, which the gauge rows leave without rotation: the chart
+scaled to the sites' spread and shifted to their centroid, with phi
+co-scaled.
 
 The ascent maximizes a penalized likelihood: a scale-free
 second-difference roughness of the coefficients (P-splines, Eilers &
@@ -68,7 +69,6 @@ from .errors import (
     NumericalError,
     SpatdeformError,
 )
-from .scaling import ProcrustesTransform, procrustes
 from .smoothers import _interior_point
 
 __all__ = [
@@ -78,9 +78,7 @@ __all__ = [
     "FitDiagnostics",
     "SmoothnessPenalty",
     "CoefObjective",
-    "difference_penalty",
     "refine_coords_ml",
-    "normalize_gauge",
     "fit",
 ]
 
@@ -499,8 +497,9 @@ def refine_coords_ml(objective: CoefObjective, grid: KnotGrid, x: np.ndarray, ph
     ``smoothers._interior_point`` maximizes ``l - lam / 2 * penalty``
     over (z, g, log phi) from x = (z, g) (g at least G_START) and ``phi``
     on the model I - u u' + lam M(z) (sigma2 profiled out of the
-    information), under the margin |J| - epsilon spread / q0 >= 0 of the
-    returned model's gauge (q0 the sites' spread), 0 <= g <= G_MAX, phi
+    information), under the margin |J| - epsilon spread / q0 >= 0 that
+    the returned model's similarity, of scale sqrt(q0 / spread) with q0
+    the sites' spread, turns into |J| >= epsilon, 0 <= g <= G_MAX, phi
     within a factor RANGE_REACH of its start, and four gauge rows held
     at the start: the fitted centroid and the antisymmetric part and
     trace of sum (y_i - ybar)(s_i - sbar)'.  Returns the point x = (z,
@@ -556,20 +555,6 @@ def refine_coords_ml(objective: CoefObjective, grid: KnotGrid, x: np.ndarray, ph
     return point, float(phi), failure
 
 
-def normalize_gauge(dmap: DeformationMap, sites) -> tuple[DeformationMap, ProcrustesTransform]:
-    """Remove the gauge freedom by full Procrustes onto the sites.
-
-    Applies the proper rotation, shift and positive scale that give the
-    fitted coordinates the sites' centroid and RMS spread.  The caller
-    must co-scale the range parameter by the returned scale to keep the
-    covariance unchanged.
-    """
-    fitted = dmap(np.asarray(sites, dtype=float))
-    t = procrustes(fitted, sites, scale=True, allow_reflection=False)
-    coef = transform_coef(dmap.coef, t.rotation, t.shift, t.scale)
-    return DeformationMap(dmap.grid, coef), t
-
-
 def _grid_from_sites(sites: np.ndarray, k1: int, k2: int) -> KnotGrid:
     lo = sites.min(axis=0)
     hi = sites.max(axis=0)
@@ -609,29 +594,39 @@ def _initial_cov(dataset: Dataset, dispersions: DispersionMatrix) -> CovParams:
 MARGIN_HEADROOM = 1.0 + 1e-9
 
 
+def _chart_margin(grid: KnotGrid, penalty: SmoothnessPenalty, z) -> tuple[float, float]:
+    """The least corner |J| of the chart's map of z, and the scale k =
+    sqrt(q0 / spread) that gives the map the sites' spread and multiplies
+    that |J| by k^2."""
+    return (float(corner_values(grid, vec_to_coef(grid, z)).min()),
+            float(np.sqrt(penalty.q0 / penalty.spread(z))))
+
+
 def _returned_model(grid: KnotGrid, objective: CoefObjective, x: np.ndarray, phi: float,
                     mean: float, diag: FitDiagnostics, epsilon: float, index: int) -> DeformModel:
     """The model of pass ``index + 1``'s point x = (z, g) and range: the
     map of z and sigma2 (R_phi + g I), with sigma2 their state's sill.
 
-    ``normalize_gauge`` shrinks the ascent's chart (whose spread is at
-    least the sites') to the sites' centroid and spread, with the range
-    co-scaled.  The ascent's margin is taken in this gauge; a map that
-    rounding leaves short of it is lifted by the similarity of scale
-    sqrt(epsilon / min |J|) about the sites' centroid, with the range
-    co-scaled.  Its margin replaces entry ``index`` of ``diag.margins``.
+    One similarity makes the model: the chart scaled about the origin by
+    k = sqrt(q0 / spread), which gives the fitted coordinates the sites'
+    spread (only ever shrinking them), then shifted to the sites'
+    centroid, with the range co-scaled.  It needs no rotation: from
+    ``fit``'s start the gauge rows hold the chart's fitted centroid at 0
+    and M = sum (y_i - ybar)(s_i - sbar)' symmetric with trace q0 > 0,
+    and tr(R(theta)' M) = q0 cos(theta) is largest at R = I, the
+    rotation of a full Procrustes fit onto the sites.  When rounding
+    leaves k^2 min |J| short of epsilon, k is sqrt(MARGIN_HEADROOM
+    epsilon / min |J|) instead.  The returned map's margin replaces
+    entry ``index`` of ``diag.margins``.
     """
-    sites, sill = objective.sites, float(objective.state(x, phi).sill)
-    dmap, gauge = normalize_gauge(DeformationMap(grid, vec_to_coef(grid, x[:-1])), sites)
-    coef, cov = dmap.coef, CovParams(sill, phi * gauge.scale, float(x[-1] * sill))
-    low = float(corner_values(grid, coef).min())
-    if low < epsilon:
-        scale = float(np.sqrt(MARGIN_HEADROOM * epsilon / low))
-        coef = transform_coef(coef, np.eye(2), (1.0 - scale) * sites.mean(axis=0), scale)
-        cov = CovParams(cov.sigma2, cov.phi * scale, cov.nugget)
-        low = float(corner_values(grid, coef).min())
-    diag.margins[index] = low
-    return DeformModel(grid=grid, coef=coef, cov=cov, mean=mean, diagnostics=diag)
+    low, k = _chart_margin(grid, objective.penalty, x[:-1])
+    if k * k * low < epsilon:
+        k = float(np.sqrt(MARGIN_HEADROOM * epsilon / low))
+    coef = transform_coef(vec_to_coef(grid, x[:-1]), np.eye(2), objective.sites.mean(axis=0), k)
+    sill = float(objective.state(x, phi).sill)
+    diag.margins[index] = float(corner_values(grid, coef).min())
+    return DeformModel(grid=grid, coef=coef, cov=CovParams(sill, phi * k, float(x[-1] * sill)),
+                       mean=mean, diagnostics=diag)
 
 
 def fit(dataset: Dataset, config: FitConfig) -> DeformModel:
@@ -651,7 +646,7 @@ def fit(dataset: Dataset, config: FitConfig) -> DeformModel:
     relative change of the penalized loglik drops below ``tol`` on a
     pass whose ascent succeeded, or after ``max_outer``.
     ``_returned_model`` makes the returned model, and the best model of
-    a FitError, in the gauge the per-pass margins are taken in.  Raises
+    a FitError, by the similarity the per-pass margins are taken at.  Raises
     FitError carrying the iteration index (and the best model) on failure.
     """
     grid = _grid_from_sites(dataset.sites, config.k1, config.k2)
@@ -670,11 +665,6 @@ def fit(dataset: Dataset, config: FitConfig) -> DeformModel:
 
     def roughness(z):
         return 0.5 * lam * penalty.value_and_grad(z)[0] if lam > 0 else 0.0
-
-    def margin(z):
-        # min corner |J| once the fitted spread is scaled to the sites' q0
-        return (float(corner_values(grid, vec_to_coef(grid, z)).min())
-                * penalty.q0 / penalty.spread(z))
 
     cov = _initial_cov(dataset, sample_dispersions(dataset.replicates))
     # each ascent starts at the last one's exact point x = (z, g) and range
@@ -705,7 +695,8 @@ def fit(dataset: Dataset, config: FitConfig) -> DeformModel:
                     grid, objective, best[1], best[2], mean, diag, epsilon, best[3] - 1)
             raise err from e
         diag.loglik.append(ll)
-        diag.margins.append(margin(x[:-1]))
+        low, k = _chart_margin(grid, penalty, x[:-1])
+        diag.margins.append(k * k * low)  # the margin of the returned model
         diag.penalty_weights.append(lam)
         diag.iterations = it
         next_lam, diag.effective_dof = _penalty_update(lam, info, penalty, x[:-1])

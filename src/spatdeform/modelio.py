@@ -169,9 +169,29 @@ def _finite_array(payload: dict, key: str) -> np.ndarray:
     return values
 
 
+def _diagnostics(d: dict) -> FitDiagnostics:
+    """The ``diagnostics`` block of a model file, raising ValueError that
+    names the first entry of the wrong JSON type (NaN is a number, a bool
+    is not); files written before the penalized fit lack the last two."""
+    number, found = (int, float), {}
+    for name, what, kind, item in (("loglik", "a list of numbers", (list,), number),
+                                   ("margins", "a list of numbers", (list,), number),
+                                   ("iterations", "an integer", (int,), None),
+                                   ("converged", "true or false", (bool,), None),
+                                   ("messages", "a list of strings", (list,), (str,)),
+                                   ("penalty_weights", "a list of numbers", (list,), number),
+                                   ("effective_dof", "a number", number, None)):
+        key = DIAGNOSTICS_KEYS.get(name, name)
+        if key in d or name not in ("penalty_weights", "effective_dof"):
+            value = found[name] = d[key]
+            if type(value) not in kind or item and any(type(v) not in item for v in value):
+                raise ValueError(f"diagnostics entry {key} must be {what}, got {value!r}")
+    return FitDiagnostics(**found)
+
+
 def load_model(path) -> DeformModel:
-    """Read a model file, rejecting unknown schema versions and parameters
-    that are not finite numbers."""
+    """Read a model file, rejecting unknown schema versions, parameters
+    that are not finite numbers and diagnostics of the wrong type."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as e:  # ValueError: undecodable bytes or bad JSON
@@ -189,19 +209,8 @@ def load_model(path) -> DeformModel:
         coef = CoefPair(*(_finite_array(payload, k) for k in ("theta1", "theta2")))
         coef.check_grid(grid)
         cov = CovParams(*(_finite_number(payload, k) for k in ("sigma2", "phi", "nugget")))
-        d = payload["diagnostics"]
-        diag = FitDiagnostics(
-            loglik=list(d["loglik"]),
-            margins=list(d["constraint_margins"]),
-            iterations=d["iterations"],
-            converged=d["converged"],
-            messages=list(d["messages"]),
-            # absent from files written before the penalized fit
-            penalty_weights=list(d.get("penalty_weights", [])),
-            effective_dof=d.get("effective_dof", float("nan")),
-        )
         return DeformModel(grid=grid, coef=coef, cov=cov, mean=_finite_number(payload, "mean"),
-                           diagnostics=diag)
+                           diagnostics=_diagnostics(payload["diagnostics"]))
     except (KeyError, TypeError, ValueError) as e:
         raise DataError(f"malformed model file {path}: {e}") from None
 

@@ -7,7 +7,8 @@ functionals one by one, single-point map evaluation, the exponential
 correlation, the root of a pivoted Cholesky factor, the replicate
 log-likelihood through a dense Cholesky factor, a covariance step by
 finite differences, the coefficients' Fisher information at given
-coefficients, a coordinate smoother backed by the constrained B-spline
+coefficients, a map normalized by full Procrustes onto the sites, a
+coordinate smoother backed by the constrained B-spline
 fit, and the CSV readers record by record.
 """
 
@@ -32,6 +33,7 @@ from spatdeform.deformation import (
     DeformationMap,
     coef_to_vec,
     eval_map_points,
+    transform_coef,
 )
 from spatdeform.errors import DataError, NumericalError
 from spatdeform.estimation import CoefObjective, Dataset
@@ -254,6 +256,22 @@ def coef_fisher_information(dataset, cov: CovParams, grid: KnotGrid,
     block of ``_LikelihoodState.information``."""
     x = np.append(coef_to_vec(coef), cov.nugget / cov.sigma2)
     return CoefObjective(dataset, grid).state(x, cov.phi).information[0][:-1, :-1]
+
+
+def procrustes_gauge(dmap: DeformationMap, sites, spread: float | None = None):
+    """The map moved by the similarity of a full Procrustes fit of its
+    fitted coordinates onto the sites: the proper rotation (Kabsch) that
+    aligns them best, the sites' centroid and the sites' spread sum
+    |s_i - sbar|^2, or ``spread`` when given.  Returns the map and the
+    scale, by which the range is co-scaled to keep the covariance."""
+    sites = np.asarray(sites, dtype=float)
+    fitted = eval_map_points(dmap, sites)
+    yc, sc = fitted - fitted.mean(axis=0), sites - sites.mean(axis=0)
+    u, _, vt = np.linalg.svd(sc.T @ yc)
+    rotation = u @ np.diag([1.0, np.sign(np.linalg.det(u @ vt))]) @ vt
+    scale = math.sqrt((np.sum(sc * sc) if spread is None else spread) / np.sum(yc * yc))
+    shift = sites.mean(axis=0) - scale * (rotation @ fitted.mean(axis=0))
+    return DeformationMap(dmap.grid, transform_coef(dmap.coef, rotation, shift, scale)), scale
 
 
 def make_bspline_smoother(grid: KnotGrid, epsilon: float | None = None):

@@ -25,12 +25,15 @@ from spatdeform.covariance import (
 from spatdeform.deformation import (
     CoefPair,
     DeformationMap,
+    coef_to_vec,
     corner_values,
+    default_epsilon,
     eval_map_points,
     identity_coef,
     min_jacobian,
+    vec_to_coef,
 )
-from spatdeform.estimation import Dataset, FitConfig, fit, normalize_gauge
+from spatdeform.estimation import Dataset, FitConfig, fit
 from spatdeform.fields import KrigingSystem, Swirl, simulate_grf
 from spatdeform.scaling import configuration_stress, procrustes, sg_initialize
 from spatdeform.smoothers import (
@@ -39,7 +42,7 @@ from spatdeform.smoothers import (
     unconstrained_bspline_fit,
 )
 
-from oracles import IdentityMap, cell_jacobian, eval_map, jacobian_det
+from oracles import IdentityMap, cell_jacobian, eval_map, jacobian_det, procrustes_gauge
 
 EPS = 1e-3
 SWIRL = Swirl(center=(0.5, 0.5), strength=1.5, radius=0.35)
@@ -265,25 +268,49 @@ def test_criterion_8_kriging_correctness():
                    f"oracle {oracle_ok}, interpolation {interp_ok}, bounds {bounds_ok}")
 
 
-def test_criterion_9_gauge_invariance():
-    rng = np.random.default_rng(109)
-    grid = KnotGrid(0.0, 1.0, 0.0, 1.0, 5, 5)
-    base = identity_coef(grid)
-    coef = CoefPair(
-        1.8 * (base.theta1 + 0.08 * rng.uniform(-1, 1, (5, 5))) + 2.0,
-        1.8 * (base.theta2 + 0.08 * rng.uniform(-1, 1, (5, 5))) - 1.0,
-    )
-    g = np.linspace(0.0, 1.0, 6)
-    xx, yy = np.meshgrid(g, g)
-    sites = np.column_stack([xx.ravel(), yy.ravel()])
-    cov = CovParams(1.0, 0.7, 0.3)
-    before = covariance_matrix(sites, DeformationMap(grid, coef), cov)
-    dmap, t = normalize_gauge(DeformationMap(grid, coef), sites)
-    after = covariance_matrix(sites, dmap, CovParams(cov.sigma2, cov.phi * t.scale, cov.nugget))
-    gap = float(np.abs(before - after).max())
-    ok = gap < 1e-10
+def test_criterion_9_gauge_invariance(monkeypatch):
+    # the model is made from a pass's point in the ascent's chart by one
+    # similarity: at every pass of a swirl fit, and when a margin above
+    # the pass's forces the lift, it must be the full Procrustes
+    # normalization of the chart's map onto the sites and imply the same
+    # covariance at the sites
+    import spatdeform.estimation as est
+
+    sites = study_sites()
+    ds = Dataset(sites, simulate_grf(sites, SWIRL, COV_TRUE, t=100, seed=1))
+    real_refine, points = est.refine_coords_ml, []
+
+    def recording_refine(*args, **kwargs):
+        out = real_refine(*args, **kwargs)
+        points.append(out[:2])
+        return out
+
+    monkeypatch.setattr(est, "refine_coords_ml", recording_refine)
+    model = est.fit(ds, FitConfig(k1=4, k2=4))
+    grid = model.grid
+    objective = est.CoefObjective(ds, grid)
+    rms = float(np.sqrt(np.sum((sites - sites.mean(axis=0)) ** 2) / len(sites)))
+    cases = [(x, phi, default_epsilon(grid), False) for x, phi in points]
+    cases.append(points[-1] + (2.0 * model.diagnostics.margins[-1], True))
+    map_gap = gap = 0.0
+    for x, phi, eps, lifted in cases:
+        made = est._returned_model(grid, objective, x, phi, model.mean,
+                                   est.FitDiagnostics(margins=[0.0]), eps, 0)
+        chart = DeformationMap(grid, vec_to_coef(grid, x[:-1]))
+        fitted = made.mapping()(sites)
+        spread = float(np.sum((fitted - fitted.mean(axis=0)) ** 2)) if lifted else None
+        expected = procrustes_gauge(chart, sites, spread)[0]
+        map_gap = max(map_gap, float(np.abs(coef_to_vec(made.coef)
+                                            - coef_to_vec(expected.coef)).max()) / rms)
+        sill = objective.state(x, phi).sill
+        before = covariance_matrix(sites, chart, CovParams(sill, phi, x[-1] * sill))
+        after = covariance_matrix(sites, made.mapping(), made.cov)
+        gap = max(gap, float(np.abs(before - after).max()))
+        assert corner_values(grid, made.coef).min() >= eps
+    ok = len(points) >= 2 and map_gap < 1e-12 and gap < 1e-10
     assert verdict(9, "covariance invariant under gauge normalization", ok,
-                   f"max elementwise gap {gap:.2e}"), gap
+                   f"{len(points)} passes and a lift, max map gap {map_gap:.2e} of the "
+                   f"sites' RMS spread, max elementwise gap {gap:.2e}"), (map_gap, gap)
 
 
 def test_criterion_10_workflow_smoke(tmp_path):

@@ -1,12 +1,10 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import blas, cho_factor, cho_solve, lapack, solve_triangular
 from scipy.spatial.distance import cdist
 
-from spatdeform.basis import KnotGrid, design_matrix
+from spatdeform.basis import KnotGrid, design_matrix, difference_penalty
 from spatdeform.covariance import (
     INVERSE_BLOCK,
     CovParams,
@@ -38,9 +36,7 @@ from spatdeform.estimation import (
     CoefObjective,
     _LikelihoodState,
     _penalty_update,
-    difference_penalty,
     fit,
-    normalize_gauge,
     refine_coords_ml,
 )
 from spatdeform.fields import Swirl, simulate_grf
@@ -50,6 +46,7 @@ from oracles import (
     IdentityMap,
     coef_fisher_information,
     loglik,
+    procrustes_gauge,
     replicate_loglik,
     step_cov_fd,
 )
@@ -176,8 +173,8 @@ class TestStepCov:
         coef, cov = ascend(ds, CovParams(0.5, 0.1, 0.5), grid, identity_coef(grid),
                            epsilon=1e-3)
         # the gauge gives the map the sites' spread, with phi co-scaled
-        _, gauge = normalize_gauge(DeformationMap(grid, coef), sites)
-        est = CovParams(cov.sigma2, cov.phi * gauge.scale, cov.nugget)
+        _, scale = procrustes_gauge(DeformationMap(grid, coef), sites)
+        est = CovParams(cov.sigma2, cov.phi * scale, cov.nugget)
         assert abs(est.sigma2 - 1.0) < 0.25
         assert abs(est.phi - 0.25) < 0.25 * 0.25
         assert abs(est.nugget - 1.0) < 0.25
@@ -539,7 +536,7 @@ class TestSmoothnessPenalty:
         rng = np.random.default_rng(21)
         grid = KnotGrid(0.0, 1.0, 0.0, 1.0, 5, 5)
         sites = grid_sites(7)
-        dmap, _ = normalize_gauge(DeformationMap(grid, wobbled(grid, rng)), sites)
+        dmap, _ = procrustes_gauge(DeformationMap(grid, wobbled(grid, rng)), sites)
         z = coef_to_vec(dmap.coef)
         pen = SmoothnessPenalty.for_sites(grid, sites)
         s = np.kron(np.eye(2), difference_penalty(grid))
@@ -827,7 +824,7 @@ class TestFisherInformation:
         ds, cov, grid = swirl_problem
         lam = 2.0
         coef, _ = ascend(ds, cov, grid, identity_coef(grid), 1e-3, lam=lam)
-        coef = normalize_gauge(DeformationMap(grid, coef), ds.sites)[0].coef
+        coef = procrustes_gauge(DeformationMap(grid, coef), ds.sites)[0].coef
         z = coef_to_vec(coef)
         info = coef_fisher_information(ds, cov, grid, coef)
         pen = SmoothnessPenalty.for_sites(grid, ds.sites)
@@ -848,46 +845,6 @@ class TestFisherInformation:
         pinv = plain_step(fixed, z)[1]
         z_model = pinv @ (info + lam * s) @ z
         assert_allclose(plain_step(fixed, z_model)[0], fixed, rtol=1e-6)
-
-
-class TestNormalizeGauge:
-    def test_aligned_input_is_identity(self):
-        grid = KnotGrid(0.0, 1.0, 0.0, 1.0, 4, 4)
-        coef = identity_coef(grid)
-        sites = grid_sites(6)
-        _, t = normalize_gauge(DeformationMap(grid, coef), sites)
-        assert_allclose(t.rotation, np.eye(2), atol=1e-10)
-        assert_allclose(t.shift, 0.0, atol=1e-10)
-        assert_allclose(t.scale, 1.0, atol=1e-10)
-
-    def test_rotation_restored(self):
-        grid = KnotGrid(0.0, 1.0, 0.0, 1.0, 4, 4)
-        rot90 = np.array([[0.0, -1.0], [1.0, 0.0]])
-        coef = transform_coef(identity_coef(grid), rot90, np.array([0.3, -0.2]))
-        sites = grid_sites(6)
-        dmap, _ = normalize_gauge(DeformationMap(grid, coef), sites)
-        assert_allclose(dmap(sites), sites, atol=1e-10)
-
-    def test_covariance_invariance_with_coscaled_phi(self):
-        rng = np.random.default_rng(15)
-        grid = KnotGrid(0.0, 1.0, 0.0, 1.0, 4, 4)
-        base = identity_coef(grid)
-        coef = CoefPair(
-            2.5 * (base.theta1 + 0.05 * rng.uniform(-1, 1, (4, 4))) + 1.0,
-            2.5 * (base.theta2 + 0.05 * rng.uniform(-1, 1, (4, 4))) - 0.5,
-        )
-        sites = grid_sites(6)
-        cov = CovParams(1.0, 0.7, 0.2)
-        before = covariance_matrix(sites, DeformationMap(grid, coef), cov)
-        dmap, t = normalize_gauge(DeformationMap(grid, coef), sites)
-        after = covariance_matrix(sites, dmap, CovParams(cov.sigma2, cov.phi * t.scale, cov.nugget))
-        assert np.abs(before - after).max() < 1e-10
-
-    def test_degenerate_coordinates(self):
-        grid = KnotGrid(0.0, 1.0, 0.0, 1.0, 4, 4)
-        coef = CoefPair(np.full((4, 4), 0.5), np.full((4, 4), 0.5))
-        with pytest.raises(FitError):
-            normalize_gauge(DeformationMap(grid, coef), grid_sites(5))
 
 
 @pytest.fixture(scope="module")
@@ -988,7 +945,7 @@ class TestFit:
             if len(iterates) >= 3:
                 raise NumericalError("synthetic failure")
             out = real_refine(*args, **kwargs)
-            iterates.append(out[0])  # the pass's point x = (z, g)
+            iterates.append(out[:2])  # the pass's point x = (z, g) and range
             return out
 
         monkeypatch.setattr(est, "refine_coords_ml", flaky_refine)
@@ -1000,12 +957,15 @@ class TestFit:
         assert d.penalty_weights[-1] > 0
         pen = SmoothnessPenalty.for_sites(best.grid, stationary_dataset.sites)
         pll = [ll - 0.5 * d.penalty_weights[-1] * pen.value_and_grad(x[:-1])[0]
-               for ll, x in zip(d.loglik, iterates)]
-        # the passes run in the ascent's chart; the model gets the gauge
-        z = iterates[int(np.argmax(pll))][:-1]
-        expected, _ = normalize_gauge(DeformationMap(best.grid, vec_to_coef(best.grid, z)),
-                                      stationary_dataset.sites)
+               for ll, (x, _) in zip(d.loglik, iterates)]
+        # the passes run in the ascent's chart; the model is made from the
+        # best pass's point alone
+        index = int(np.argmax(pll))
+        expected = est._returned_model(
+            best.grid, CoefObjective(stationary_dataset, best.grid), *iterates[index],
+            best.mean, FitDiagnostics(margins=list(d.margins)), default_epsilon(best.grid), index)
         assert np.array_equal(coef_to_vec(best.coef), coef_to_vec(expected.coef))
+        assert best.cov == expected.cov
 
     def test_no_constrained_least_squares_after_initialization(self, stationary_dataset):
         # fit starts from the identity map: it neither embeds the dispersions
@@ -1098,41 +1058,34 @@ class TestFit:
         assert model.diagnostics.messages == []
 
     def test_returned_models_meet_the_margin(self, stationary_dataset, monkeypatch):
-        # a gauge that shrinks the plane 100-fold scales every corner |J|
-        # by 1e-4, below the margin; the returned model, and the best model
-        # of a FitError, are lifted back to it without changing the
-        # covariance they imply
+        # the ascents run at the default margin while fit is given one
+        # above every pass's margin: the returned model, and the best model
+        # of a FitError, are lifted to it without changing the covariance
+        # they imply
         import spatdeform.estimation as est
 
-        real_normalize, real_refine = est.normalize_gauge, est.refine_coords_ml
+        real_refine = est.refine_coords_ml
+        eps = 0.95  # below the identity's corner |J| = 1, which the fit starts from
+        calls = {"n": 0, "fail": np.inf}
 
-        def shrinking_normalize(dmap, sites):
-            out, t = real_normalize(dmap, sites)
-            centre = np.mean(sites, axis=0)
-            coef = transform_coef(out.coef, np.eye(2), 0.99 * centre, 0.01)
-            return DeformationMap(out.grid, coef), replace(t, scale=0.01 * t.scale)
+        def refine_at_the_default_margin(objective, grid, x, phi, epsilon, **kwargs):
+            calls["n"] += 1
+            if calls["n"] >= calls["fail"]:
+                raise NumericalError("synthetic failure")
+            return real_refine(objective, grid, x, phi, default_epsilon(grid), **kwargs)
 
-        monkeypatch.setattr(est, "normalize_gauge", shrinking_normalize)
+        monkeypatch.setattr(est, "refine_coords_ml", refine_at_the_default_margin)
         ds = stationary_dataset
-        model = est.fit(ds, FitConfig(k1=4, k2=4, tol=0.0, max_outer=2))
-        eps = default_epsilon(model.grid)
+        model = est.fit(ds, FitConfig(k1=4, k2=4, epsilon=eps, tol=0.0, max_outer=2))
         margin = corner_values(model.grid, model.coef).min()
-        assert eps <= margin < 1.01 * eps
+        assert model.diagnostics.margins[0] < eps <= margin < 1.01 * eps
         assert model.diagnostics.margins[-1] == margin
         assert_allclose(loglik(ds, model.mapping(), model.cov),
                         model.diagnostics.loglik[-1], rtol=1e-12)
 
-        calls = {"n": 0}
-
-        def flaky_refine(*args, **kwargs):
-            calls["n"] += 1
-            if calls["n"] >= 3:
-                raise NumericalError("synthetic failure")
-            return real_refine(*args, **kwargs)
-
-        monkeypatch.setattr(est, "refine_coords_ml", flaky_refine)
+        calls.update(n=0, fail=3)
         with pytest.raises(FitError, match="outer iteration 3") as excinfo:
-            est.fit(ds, FitConfig(k1=4, k2=4, tol=0.0, max_outer=5))
+            est.fit(ds, FitConfig(k1=4, k2=4, epsilon=eps, tol=0.0, max_outer=5))
         best = excinfo.value.best_model
         margin = corner_values(best.grid, best.coef).min()
         assert eps <= margin < 1.01 * eps
@@ -1140,6 +1093,38 @@ class TestFit:
         assert_allclose(loglik(ds, best.mapping(), best.cov),
                         best.diagnostics.loglik[best.diagnostics.margins.index(margin)],
                         rtol=1e-12)
+
+    def test_every_pass_ends_with_no_rotation_left(self, swirl_problem, monkeypatch):
+        # the returned model's similarity has no rotation because every
+        # pass ends, in the ascent's chart, with the fitted centroid at 0
+        # and M = sum (y_i - ybar)(s_i - sbar)' symmetric with trace q0,
+        # also a pass whose ascent stops at the iteration cap
+        import spatdeform.estimation as est
+
+        ds = swirl_problem[0]
+        real_refine, real_cap = est.refine_coords_ml, est.ASCENT_MAX_ITER
+        points = []
+
+        def capped_refine(*args, **kwargs):
+            monkeypatch.setattr(est, "ASCENT_MAX_ITER", 3 if len(points) == 1 else real_cap)
+            x, phi, failure = real_refine(*args, **kwargs)
+            points.append(x)
+            return x, phi, failure
+
+        monkeypatch.setattr(est, "refine_coords_ml", capped_refine)
+        with pytest.warns(RuntimeWarning, match=r"iteration limit \(3\)"):
+            model = est.fit(ds, FitConfig(k1=4, k2=4, tol=0.0, max_outer=4))
+        assert [m.split(":")[0] for m in model.diagnostics.messages] == ["pass 2"]
+        assert len(points) == 4
+        centred = ds.sites - ds.sites.mean(axis=0)
+        q0 = float(np.sum(centred * centred))
+        for x in points:
+            y = eval_map_points(DeformationMap(model.grid, vec_to_coef(model.grid, x[:-1])),
+                                ds.sites)
+            m = (y - y.mean(axis=0)).T @ centred
+            assert np.linalg.norm(y.mean(axis=0)) <= 1e-12 * np.sqrt(q0 / ds.n)
+            assert abs(m[0, 1] - m[1, 0]) / 2 <= 1e-12 * q0
+            assert abs(np.trace(m) - q0) <= 1e-12 * q0
 
     def test_likelihood_ascent_converges(self, monkeypatch):
         # the simulation study's K=8 fit of seed 1: every interior-point

@@ -127,6 +127,32 @@ class TestModelFile:
         with pytest.raises(DataError, match=r"shape \(4, 5\) does not match grid \(2, 2\)"):
             modelio.load_model(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("loglik", "abc"),
+        ("constraint_margins", [0.5, "0.6"]),
+        ("messages", "oops"),
+        ("messages", [1]),
+        ("iterations", "2"),
+        ("iterations", True),
+        ("converged", "true"),
+        ("penalty_weights", None),
+        ("effective_dof", "37.7"),
+    ])
+    def test_diagnostics_of_the_wrong_type(self, tmp_path, capsys, key, value):
+        # a data error that names the entry, which predict exits 2 on
+        from spatdeform.cli import main
+
+        path = tmp_path / "model.json"
+        modelio.save_model(make_model(np.random.default_rng(6)), path)
+        payload = json.loads(path.read_text())
+        payload["diagnostics"][key] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match=f"diagnostics entry {key} must be"):
+            modelio.load_model(path)
+        rc = main(["predict", "--model", str(path), "--data", "data.csv", "--grid", "grid.csv",
+                   "--time", "t000", "--out", str(tmp_path / "pred.csv")])
+        assert rc == 2 and f"diagnostics entry {key}" in capsys.readouterr().err
+
 
 def write_rows(path, rows, header="station_id,x1,x2,time,value"):
     path.write_text(header + "\n" + "\n".join(rows) + ("\n" if rows else ""))
