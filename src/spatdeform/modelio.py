@@ -184,7 +184,7 @@ def _diagnostics(d: dict) -> FitDiagnostics:
         key = DIAGNOSTICS_KEYS.get(name, name)
         if key in d or name not in ("penalty_weights", "effective_dof"):
             value = found[name] = d[key]
-            if type(value) not in kind or item and any(type(v) not in item for v in value):
+            if type(value) not in kind or (item and any(type(v) not in item for v in value)):
                 raise ValueError(f"diagnostics entry {key} must be {what}, got {value!r}")
     return FitDiagnostics(**found)
 
